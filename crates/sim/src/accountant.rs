@@ -191,6 +191,7 @@ impl EventAccountant {
                 self.ended = true;
                 self.stats.total_cycles = total_cycles;
                 self.stats.supply_drained_at = supply_drained_at;
+                self.stats.retain_efficiency_window();
                 Ok(())
             }
             // Pure annotations: no bucket or counter of their own (the
@@ -324,7 +325,8 @@ mod tests {
     #[test]
     fn accountant_decimates_checkpoints_like_the_engine() {
         // A tiny cap forces decimation in both the engine and the replay;
-        // equality then proves the accountant's reservoir matches.
+        // equality then proves the accountant's reservoir matches, and
+        // both finished trails are that reservoir's efficiency bracket.
         let w = WorkloadBuilder::new()
             .threads(8)
             .work_per_thread(20_000)
@@ -336,7 +338,7 @@ mod tests {
             checkpoint_cap: 16,
             ..SimOptions::cache_experiments()
         };
-        let engine = Engine::with_sink(
+        let mut engine = Engine::with_sink(
             BitmapAllocator::new(128).unwrap(),
             SchedCosts::cache_experiments(),
             UnloadPolicyKind::Never,
@@ -345,10 +347,26 @@ mod tests {
             RecordingSink::new(),
         )
         .unwrap();
-        let (stats, sink) = engine.run_with_sink();
-        assert!(stats.checkpoints.len() < 16, "cap respected: {}", stats.checkpoints.len());
-        let derived = EventAccountant::replay(sink.events()).unwrap();
-        assert_eq!(derived.checkpoints, stats.checkpoints);
+        assert!(engine.advance(u64::MAX), "runs to completion");
+        // The in-run reservoir, before `finish` trims it.
+        let reservoir = engine.snapshot().stats.checkpoints;
+        let (stats, sink) = engine.finish();
+        assert!(reservoir.len() > 2 && reservoir.len() < 16, "cap respected: {}", reservoir.len());
+
+        let (run_end, events) = sink.events().split_last().unwrap();
+        let mut acct = EventAccountant::new();
+        for e in events {
+            acct.ingest(e).unwrap();
+        }
+        assert_eq!(acct.stats.checkpoints, reservoir, "replayed reservoir");
+        acct.ingest(run_end).unwrap();
+        let derived = acct.finish().unwrap();
+
+        let mut trimmed = SimStats { checkpoints: reservoir, ..stats.clone() };
+        trimmed.retain_efficiency_window();
+        assert!(stats.checkpoints.len() <= 2, "{:?}", stats.checkpoints);
+        assert_eq!(stats.checkpoints, trimmed.checkpoints, "engine trail is the bracket");
+        assert_eq!(derived.checkpoints, stats.checkpoints, "replayed trail is the bracket");
         assert_eq!(derived, stats);
     }
 }

@@ -294,6 +294,7 @@ impl<S: EventSink> Engine<S> {
         } else {
             None
         };
+        self.stats.retain_efficiency_window();
         self.emit(EventKind::RunEnd {
             total_cycles: self.stats.total_cycles,
             supply_drained_at: self.stats.supply_drained_at,

@@ -80,4 +80,9 @@ pub use trace_export::chrome_trace_json;
 /// (`SimOptions::checkpoint_cap`). Default-capped runs are byte-identical
 /// to version 1, but the *possible* checkpoint shapes differ, so stored
 /// records rotate.
-pub const CODE_VERSION: u32 = 2;
+///
+/// Version 3: a finished run keeps only the efficiency-window bracket of
+/// its checkpoint trail (`SimStats::retain_efficiency_window`). Every
+/// `efficiency()` is bit-identical to version 2, but finished `SimStats`
+/// serialize differently, so stored records rotate.
+pub const CODE_VERSION: u32 = 3;

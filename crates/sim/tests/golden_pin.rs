@@ -14,6 +14,13 @@
 //! oracle, so the event stream's self-accounting invariants are enforced
 //! alongside the hashes.
 //!
+//! The hashes were re-captured at `CODE_VERSION` 3, when a finished run
+//! started keeping only the (at most two) checkpoints its steady-state
+//! efficiency window reads. Before the re-capture, every case's new
+//! `SimStats` was checked equal, field by field, to the version-2 stats
+//! with their trail cut the same way, and `efficiency()` bit-equal; the
+//! event streams did not change.
+//!
 //! To regenerate after an *intentional* behavior change (which must also
 //! bump `rr_sim::CODE_VERSION`), run with `RR_GOLDEN_PRINT=1` and paste
 //! the printed table.
@@ -135,57 +142,57 @@ fn run_case(c: &GoldenCase) -> u64 {
     fnv1a(&buf)
 }
 
-/// Per-case hashes captured from the pre-optimization engine. Indexed in
+/// Per-case hashes (pre-optimization behavior, trail trimmed). Indexed in
 /// `golden_cases()` order; one line per (scenario, arch, family) run.
 const GOLDEN_HASHES: [u64; 48] = [
-    0xac4eed766caa5abf, // case 0: fixed: false, sync: false
-    0xcdd65757f8569fcd, // case 1: fixed: false, sync: true
-    0x4f1dc2eb94c70717, // case 2: fixed: true, sync: false
-    0x92a28856a73f0e53, // case 3: fixed: true, sync: true
-    0x05bc7cb019733e57, // case 4: fixed: false, sync: false
-    0x81a18d77116aa859, // case 5: fixed: false, sync: true
-    0xa0bd7a39d6ff835e, // case 6: fixed: true, sync: false
-    0xd99fcfe29b4d2e29, // case 7: fixed: true, sync: true
-    0x9b96e0bececb7ae8, // case 8: fixed: false, sync: false
-    0xaf9c3c35aeded9c5, // case 9: fixed: false, sync: true
-    0xec879efb0cdf4afa, // case 10: fixed: true, sync: false
-    0x5d9c6595b8b01aee, // case 11: fixed: true, sync: true
-    0x591ae11048ae5430, // case 12: fixed: false, sync: false
-    0xe9aa3da1b58f371f, // case 13: fixed: false, sync: true
-    0xea11d781e64fd1b2, // case 14: fixed: true, sync: false
-    0x160740634782c1cf, // case 15: fixed: true, sync: true
-    0x35327f23e830c73b, // case 16: fixed: false, sync: false
-    0xb8562aaedd745037, // case 17: fixed: false, sync: true
-    0xf7177888a311c0ce, // case 18: fixed: true, sync: false
-    0x439cbd492dbf51d3, // case 19: fixed: true, sync: true
-    0xcd80764658270e74, // case 20: fixed: false, sync: false
-    0x2ba0fdfeda2628e7, // case 21: fixed: false, sync: true
-    0xb631786ce1d0b534, // case 22: fixed: true, sync: false
-    0xb70e38464b15d5c1, // case 23: fixed: true, sync: true
-    0x6bc26dc7d3b1994e, // case 24: fixed: false, sync: false
-    0xfe889dbd1ccdf1f5, // case 25: fixed: false, sync: true
-    0x11c085ed4ddd2240, // case 26: fixed: true, sync: false
-    0xfb74bac2a73a9cde, // case 27: fixed: true, sync: true
-    0xba0696e082c9304b, // case 28: fixed: false, sync: false
-    0x7a9947c89c45dfb9, // case 29: fixed: false, sync: true
-    0x9874ae3d66e50421, // case 30: fixed: true, sync: false
-    0x5d3f637433b27921, // case 31: fixed: true, sync: true
-    0xcaa2397368176425, // case 32: fixed: false, sync: false
-    0x8785fe1f35c378a8, // case 33: fixed: false, sync: true
-    0xfcd6ae67ff0cccb8, // case 34: fixed: true, sync: false
-    0x30d743f6bec46c11, // case 35: fixed: true, sync: true
-    0x78c394228d8c878c, // case 36: fixed: false, sync: false
-    0x7156cb3590efb8ea, // case 37: fixed: false, sync: true
-    0x433cba7722da1b2a, // case 38: fixed: true, sync: false
-    0x40ffb94d4deb09ec, // case 39: fixed: true, sync: true
-    0x67c46cdd72de4183, // case 40: fixed: false, sync: false
-    0x141ebafd8f2be8b9, // case 41: fixed: false, sync: true
-    0x9da1c09f3152734e, // case 42: fixed: true, sync: false
-    0x6783d10960d4fc42, // case 43: fixed: true, sync: true
-    0x31785a52c7b43a3f, // case 44: fixed: false, sync: false
-    0x64fcd5f8b7e06c65, // case 45: fixed: false, sync: true
-    0x654a7912d2e21269, // case 46: fixed: true, sync: false
-    0x1090b41db60c8ecd, // case 47: fixed: true, sync: true
+    0x6e1cabf5d7b31a8d, // case 0: fixed: false, sync: false
+    0x1096505346f436da, // case 1: fixed: false, sync: true
+    0x3bcfce0fae5708ec, // case 2: fixed: true, sync: false
+    0x8a7b1cb02c25fe9a, // case 3: fixed: true, sync: true
+    0xd812a24bddc507af, // case 4: fixed: false, sync: false
+    0xf5739490dd4630f3, // case 5: fixed: false, sync: true
+    0x7cc26905bfad8ad3, // case 6: fixed: true, sync: false
+    0x383b6ffb84d0a84d, // case 7: fixed: true, sync: true
+    0x6358af5dae6cbe3b, // case 8: fixed: false, sync: false
+    0x1846efc562f14bb3, // case 9: fixed: false, sync: true
+    0xc6bd577b343e6893, // case 10: fixed: true, sync: false
+    0x35cb823440579d71, // case 11: fixed: true, sync: true
+    0xa2853f0baff540a8, // case 12: fixed: false, sync: false
+    0x67c60d53473fc4fe, // case 13: fixed: false, sync: true
+    0x7407589cb9efd719, // case 14: fixed: true, sync: false
+    0x42e392c4f5295ffc, // case 15: fixed: true, sync: true
+    0x887c6e0b932d0fde, // case 16: fixed: false, sync: false
+    0x920885caa66e0973, // case 17: fixed: false, sync: true
+    0xb852baa36265ed69, // case 18: fixed: true, sync: false
+    0x80343f3c1b1348b5, // case 19: fixed: true, sync: true
+    0x65a4cae0824b4096, // case 20: fixed: false, sync: false
+    0xfbf0702444d03e11, // case 21: fixed: false, sync: true
+    0xd9d44407c61be028, // case 22: fixed: true, sync: false
+    0xefdf2954610ce9fd, // case 23: fixed: true, sync: true
+    0x44170dcb78025b82, // case 24: fixed: false, sync: false
+    0x2a7d4040bcb85075, // case 25: fixed: false, sync: true
+    0x49368bb3ab646750, // case 26: fixed: true, sync: false
+    0x51081ada1041e9dc, // case 27: fixed: true, sync: true
+    0x81fdd6bf1816311d, // case 28: fixed: false, sync: false
+    0x61855b9d80eb525b, // case 29: fixed: false, sync: true
+    0x645e6af6c42caad0, // case 30: fixed: true, sync: false
+    0x88abf3cd0540a147, // case 31: fixed: true, sync: true
+    0x30910412f3cfcbc1, // case 32: fixed: false, sync: false
+    0x0920a68c69fa14ed, // case 33: fixed: false, sync: true
+    0xc684f69c33c339c7, // case 34: fixed: true, sync: false
+    0xaea599d28a161a93, // case 35: fixed: true, sync: true
+    0x56031e45f9e7e413, // case 36: fixed: false, sync: false
+    0x28c98253851d942b, // case 37: fixed: false, sync: true
+    0xf995be86fc7851e5, // case 38: fixed: true, sync: false
+    0x53435e89b825a52f, // case 39: fixed: true, sync: true
+    0xa38af1bb08155972, // case 40: fixed: false, sync: false
+    0x2d4a31d5b6379e23, // case 41: fixed: false, sync: true
+    0x114d554ce595a34a, // case 42: fixed: true, sync: false
+    0x8ebfe027f8ecc14c, // case 43: fixed: true, sync: true
+    0x2f55f5b0a3303966, // case 44: fixed: false, sync: false
+    0xfa9a47136a5fde95, // case 45: fixed: false, sync: true
+    0xdc42e9a0eed982db, // case 46: fixed: true, sync: false
+    0x463cae93019450ac, // case 47: fixed: true, sync: true
 ];
 
 #[test]

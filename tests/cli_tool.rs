@@ -21,6 +21,15 @@ fn demo_source() -> tempfile::NamedFile {
 mod tempfile {
     use std::fs::File;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A temp path no other test in this process shares: the tests run in
+    /// parallel, and one test's cleanup must not delete another's file.
+    pub fn unique_path(name: &str) -> PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("rr-test-{}-{n}-{name}", std::process::id()))
+    }
 
     pub struct NamedFile {
         pub file: File,
@@ -29,8 +38,7 @@ mod tempfile {
 
     impl NamedFile {
         pub fn new(name: &str) -> Self {
-            let mut path = std::env::temp_dir();
-            path.push(format!("rr-test-{}-{}", std::process::id(), name));
+            let path = unique_path(name);
             NamedFile { file: File::create(&path).unwrap(), path }
         }
     }
@@ -131,8 +139,7 @@ fn fig5_sweep_is_worker_count_invariant() {
 /// emits byte-identical output (stdout panels and the `--json` report).
 #[test]
 fn fig5_warm_cache_run_is_byte_identical() {
-    let mut store_dir = std::env::temp_dir();
-    store_dir.push(format!("rr-cli-store-{}", std::process::id()));
+    let store_dir = tempfile::unique_path("store");
     let _ = std::fs::remove_dir_all(&store_dir);
     let json_path = tempfile::NamedFile::new("fig5-cache.json").path.clone();
     let sweep = || {

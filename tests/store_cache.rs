@@ -12,7 +12,8 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 use register_relocation::cache;
-use register_relocation::experiments::ExperimentSpec;
+use register_relocation::experiments::{Arch, ExperimentSpec};
+use register_relocation::sim::EventAccountant;
 use register_relocation::store::Lookup;
 use register_relocation::sweep::{
     PointReport, SweepGrid, SweepRunner, SWEEP_SCHEMA_VERSION,
@@ -334,6 +335,38 @@ fn injected_short_write_is_quarantined_on_read_not_served() {
     // And the store is healthy again: pure hits from here on.
     let healed = runner(&dir).run(&grid).unwrap();
     assert_eq!((healed.cache.hits, healed.cache.quarantined), (2, 0));
+}
+
+/// Byte gate: a finished leg carries only its efficiency-window
+/// checkpoints, so a stored point stays a few KiB however long the run.
+/// (When legs kept their whole checkpoint trail, this panel's largest
+/// record was 24 KiB, and a full-size Figure 5 F=64 record reached 2 MB.)
+#[test]
+fn stored_records_stay_small_and_legs_keep_only_the_window() {
+    const MAX_RECORD_BYTES: u64 = 16 * 1024;
+    let dir = TempDir::new("byte-gate");
+    let mut grid = SweepGrid::figure5_panel(64, 7);
+    grid.base = ExperimentSpec { threads: 8, work_per_thread: 2_000, ..grid.base };
+    let outcome = runner(&dir).run(&grid).unwrap();
+    assert_eq!(outcome.cache.stored, 18);
+
+    let records = record_paths(&dir);
+    assert_eq!(records.len(), 18);
+    for path in &records {
+        let bytes = fs::metadata(path).unwrap().len();
+        assert!(bytes <= MAX_RECORD_BYTES, "{} is {bytes} bytes", path.display());
+    }
+
+    for (point, report) in grid.points().iter().zip(&outcome.report.points) {
+        for (arch, stored) in [(Arch::Fixed, &report.fixed), (Arch::Flexible, &report.flexible)] {
+            let (stats, events) = ExperimentSpec { arch, ..point.spec }.run_with_events().unwrap();
+            let replayed = EventAccountant::replay(&events).unwrap();
+            assert!(stats.checkpoints.len() <= 2, "engine trail {:?}", stats.checkpoints);
+            assert!(replayed.checkpoints.len() <= 2, "replayed trail {:?}", replayed.checkpoints);
+            assert_eq!(&stats, stored);
+            assert_eq!(replayed, stats);
+        }
+    }
 }
 
 /// The canonical spec serialization (and therefore every stored key) must

@@ -30,8 +30,13 @@ const GOLDEN_FIG5_SMALL_STDOUT: &str =
 
 /// SHA-256 of the same sweep's `--json` report with the host-timing lines
 /// (`*wall_nanos`) dropped — every simulated byte of the report.
+///
+/// Re-captured at `CODE_VERSION` 3, when finished legs started keeping
+/// only their efficiency-window checkpoints: the report lost the rest of
+/// each leg's trail, while every other field, every `efficiency()` bit
+/// pattern and the stdout golden above stayed the same.
 const GOLDEN_FIG5_SMALL_JSON: &str =
-    "05e6f6311cb80bc96404ec7d09db99bfcd5b3463c58e07385c6e153f4b47beab";
+    "04528d44cfa7211f279f962282ce3e879301a22a2e7ff49d3bdf2c62abaa30a7";
 
 fn sha256_hex(bytes: &[u8]) -> String {
     let mut h = sha256::Sha256::new();
