@@ -455,6 +455,12 @@ pub fn check(new: &BenchReport, baseline: &BenchReport, tolerance: f64) -> Resul
             new.seed, baseline.seed
         ));
     }
+    if new.jobs != baseline.jobs {
+        violations.push(format!(
+            "jobs mismatch: ran with {} worker(s), baseline used {}",
+            new.jobs, baseline.jobs
+        ));
+    }
     for base_case in &baseline.cases {
         let Some(new_case) = new.case(&base_case.name) else {
             violations.push(format!("case `{}` missing from this run", base_case.name));
@@ -659,6 +665,18 @@ mod tests {
         drifted.cases[0].wall_nanos_median = 1; // even when faster
         let err = check(&drifted, &baseline, 1.0).unwrap_err();
         assert!(err.contains("cycle-exact invariants changed"), "{err}");
+    }
+
+    #[test]
+    fn check_fails_a_jobs_mismatch() {
+        // Walls taken with another worker count are not comparable, even
+        // when every invariant matches and the run is faster.
+        let baseline = sample_report();
+        let mut parallel = baseline.clone();
+        parallel.jobs = 2;
+        parallel.cases[0].wall_nanos_median = 1;
+        let err = check(&parallel, &baseline, 1.0).unwrap_err();
+        assert!(err.contains("jobs mismatch: ran with 2 worker(s), baseline used 1"), "{err}");
     }
 
     #[test]

@@ -42,6 +42,8 @@
 //! skips the simulations entirely and its `--json` output byte-matches the
 //! cold run's. `--no-store` disables caching outright.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -53,7 +55,7 @@ use register_relocation::diverge::{
 use register_relocation::experiments::Arch;
 use register_relocation::isa::{analysis, assemble, disassemble, Rrm};
 use register_relocation::runtime::{event_diff, CostBucket, Event};
-use register_relocation::sim::{chrome_trace_json, DivergeConfig, DivergeOutcome};
+use register_relocation::sim::{write_chrome_trace, DivergeConfig, DivergeOutcome};
 use register_relocation::machine::{Machine, MachineConfig};
 use register_relocation::report::{format_panel, format_sweep_summary, format_trace_point};
 use register_relocation::store::Store;
@@ -618,8 +620,7 @@ fn cmd_sweep(args: &[String], figure: Figure) -> Result<(), String> {
             slow.latency
         );
         let traced = TracedPoint::run(&point.spec)?;
-        std::fs::write(&path, traced.chrome_trace())
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_trace_file(&path, |out| traced.write_chrome_trace(out))?;
         info!("sweep", "wrote Chrome trace to {path} (load in https://ui.perfetto.dev)");
         if let Some(store) = runner.store() {
             if let Err(e) = persist_trace_metrics(store, &traced) {
@@ -642,6 +643,18 @@ fn parse_point(raw: &str) -> Result<(u32, f64, u64), String> {
     let latency =
         parts[2].parse::<u64>().map_err(|_| format!("bad point latency `{}`", parts[2]))?;
     Ok((file_size, run_length, latency))
+}
+
+/// Streams a Chrome trace into `path` through a buffered file, so the
+/// document is never held in memory.
+fn write_trace_file(
+    path: &str,
+    write: impl FnOnce(BufWriter<File>) -> io::Result<BufWriter<File>>,
+) -> Result<(), String> {
+    let file = File::create(path).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    write(BufWriter::new(file))
+        .and_then(|mut out| out.flush())
+        .map_err(|e| format!("cannot write `{path}`: {e}"))
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
@@ -676,8 +689,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let traced = TracedPoint::run(&point.spec)?;
     println!("{}", format_trace_point(&traced));
     if let Some(path) = flag_value(args, "--trace-out") {
-        std::fs::write(&path, traced.chrome_trace())
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_trace_file(&path, |out| traced.write_chrome_trace(out))?;
         info!("trace", "wrote Chrome trace to {path} (load in https://ui.perfetto.dev)");
     }
     if let Some(path) = flag_value(args, "--metrics") {
@@ -918,8 +930,8 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
     if let Some(path) = trace_out {
         let ea = outcome.a.events.as_deref().ok_or("leg A events missing under --trace-out (bug)")?;
         let eb = outcome.b.events.as_deref().ok_or("leg B events missing under --trace-out (bug)")?;
-        let doc = chrome_trace_json(&[(1, pair.arch_a.label(), ea), (2, pair.arch_b.label(), eb)]);
-        std::fs::write(&path, doc).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        let legs = [(1, pair.arch_a.label(), ea), (2, pair.arch_b.label(), eb)];
+        write_trace_file(&path, |out| write_chrome_trace(out, &legs))?;
         info!("diverge", "wrote dual-leg Chrome trace to {path} (load in https://ui.perfetto.dev)");
     }
     if let Some(path) = flag_value(args, "--json") {

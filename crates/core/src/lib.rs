@@ -68,6 +68,7 @@ pub mod serve;
 pub mod software_only;
 pub mod sweep;
 pub mod trace;
+mod trace_export;
 
 pub use bench::{BenchConfig, BenchReport, Suite, BENCH_SCHEMA_VERSION};
 pub use diverge::{
@@ -94,8 +95,12 @@ pub use rr_machine as machine;
 pub use rr_alloc as alloc;
 /// Re-export of the runtime crate.
 pub use rr_runtime as runtime;
-/// Re-export of the simulator crate.
-pub use rr_sim as sim;
+/// The simulator crate, re-exported, plus its Chrome-trace export (which
+/// lives here, beside the trace writer's other user in `rr-telemetry`).
+pub mod sim {
+    pub use crate::trace_export::{chrome_trace_json, write_chrome_trace};
+    pub use rr_sim::*;
+}
 /// Re-export of the workload crate.
 pub use rr_workload as workload;
 /// Re-export of the analytical-model crate.

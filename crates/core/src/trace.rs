@@ -15,14 +15,17 @@
 //! the result store under the point's domain-tagged [`crate::cache::trace_key`],
 //! behind the same schema-version salt as sweep results.
 
+use std::io::{self, Write};
+
 use serde::{Deserialize, Serialize};
 
 use rr_runtime::Event;
-use rr_sim::{chrome_trace_json, EventAccountant, MetricsReport, SimStats};
+use rr_sim::{EventAccountant, MetricsReport, SimStats};
 use rr_store::{Store, StoreError};
 
 use crate::cache;
 use crate::experiments::{Arch, ExperimentSpec};
+use crate::trace_export::{chrome_trace_json, write_chrome_trace};
 
 /// Version of the serialized [`TraceMetricsRecord`]. Bump on any field
 /// change; the decode path refuses other versions and the store salt
@@ -97,10 +100,24 @@ impl TracedPoint {
     /// is process 1, flexible process 2. Load it in Perfetto or
     /// `chrome://tracing`; 1 µs on the timeline is 1 simulated cycle.
     pub fn chrome_trace(&self) -> String {
-        chrome_trace_json(&[
+        chrome_trace_json(&self.processes())
+    }
+
+    /// Streams [`chrome_trace`](Self::chrome_trace)'s document into `out`
+    /// without holding it, and returns `out` (unflushed).
+    ///
+    /// # Errors
+    ///
+    /// `out`'s write error.
+    pub fn write_chrome_trace<W: Write>(&self, out: W) -> io::Result<W> {
+        write_chrome_trace(out, &self.processes())
+    }
+
+    fn processes(&self) -> [(u32, &str, &[Event]); 2] {
+        [
             (1, self.fixed.arch.label(), &self.fixed.events),
             (2, self.flexible.arch.label(), &self.flexible.events),
-        ])
+        ]
     }
 
     /// The compact persistable summary of this trace.

@@ -344,6 +344,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Request, ParseError> {
@@ -454,5 +455,104 @@ mod tests {
         assert!(!StatusCode::Created.is_error());
         assert!(StatusCode::TooManyRequests.is_error());
         assert_eq!(StatusCode::ServiceUnavailable.reason(), "Service Unavailable");
+    }
+
+    /// A generated well-formed request and the fields it must parse to.
+    #[derive(Debug, Clone)]
+    struct Valid {
+        method: Method,
+        path: String,
+        query: Option<String>,
+        headers: Vec<(String, String)>,
+        body: Vec<u8>,
+    }
+
+    impl Valid {
+        fn wire(&self) -> Vec<u8> {
+            let query = self.query.as_ref().map_or(String::new(), |q| format!("?{q}"));
+            let mut out = format!("{} {}{query} HTTP/1.1\r\n", self.method, self.path);
+            for (name, value) in &self.headers {
+                out.push_str(&format!("{name}: {value}\r\n"));
+            }
+            out.push_str(&format!("Content-Length: {}\r\n\r\n", self.body.len()));
+            let mut wire = out.into_bytes();
+            wire.extend_from_slice(&self.body);
+            wire
+        }
+    }
+
+    fn valid() -> impl Strategy<Value = Valid> {
+        let method =
+            prop_oneof![Just(Method::Get), Just(Method::Post), Just(Method::Put), Just(Method::Delete)];
+        let query = prop_oneof![Just(None), "[a-z0-9=&_?%]{0,12}".prop_map(Some)];
+        // Names cannot collide with Content-Length; values carry no
+        // surrounding whitespace, which the parser trims.
+        let header = ("X-[A-Za-z0-9-]{1,10}", "[!-~]([ -~]{0,16}[!-~])?");
+        (
+            method,
+            "/[A-Za-z0-9_./%-]{0,16}",
+            query,
+            prop::collection::vec(header, 0..5),
+            prop::collection::vec(any::<u8>(), 0..64),
+        )
+            .prop_map(|(method, path, query, headers, body)| Valid {
+                method,
+                path,
+                query,
+                headers,
+                body,
+            })
+    }
+
+    fn parse_bytes(raw: &[u8]) -> Result<Request, ParseError> {
+        Request::read_from(&mut BufReader::new(raw))
+    }
+
+    proptest! {
+        /// Arbitrary bytes, alone or after a valid request line, parse to a
+        /// request or a typed error — never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+            after_request_line in any::<bool>(),
+        ) {
+            let mut raw = Vec::new();
+            if after_request_line {
+                raw.extend_from_slice(b"POST /jobs HTTP/1.1\r\n");
+            }
+            raw.extend_from_slice(&bytes);
+            let _ = parse_bytes(&raw);
+        }
+
+        /// Every truncation of a valid request, and a byte flip anywhere in
+        /// it, parses or fails cleanly.
+        #[test]
+        fn truncated_and_flipped_requests_never_panic(
+            req in valid(),
+            cut in any::<usize>(),
+            at in any::<usize>(),
+            mask in 1u8..=255,
+        ) {
+            let wire = req.wire();
+            let _ = parse_bytes(&wire[..cut % (wire.len() + 1)]);
+            let mut flipped = wire.clone();
+            let i = at % flipped.len();
+            flipped[i] ^= mask;
+            let _ = parse_bytes(&flipped);
+        }
+
+        /// A generated well-formed request round-trips method, path,
+        /// query, headers (in order, Content-Length last) and body.
+        #[test]
+        fn valid_requests_round_trip(req in valid()) {
+            let parsed = parse_bytes(&req.wire()).unwrap();
+            prop_assert_eq!(parsed.method, req.method);
+            prop_assert_eq!(&parsed.path, &req.path);
+            prop_assert_eq!(&parsed.query, &req.query);
+            let mut headers = req.headers.clone();
+            headers.push(("Content-Length".to_string(), req.body.len().to_string()));
+            prop_assert_eq!(&parsed.headers, &headers);
+            prop_assert_eq!(&parsed.body, &req.body);
+        }
     }
 }

@@ -53,7 +53,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod thread;
 pub mod timer;
-pub mod trace_export;
 
 pub use accountant::EventAccountant;
 pub use diverge::{
@@ -66,7 +65,6 @@ pub use options::{DispatchMode, SimOptions};
 pub use snapshot::{EngineSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 pub use stats::{decimate_checkpoints, SimStats};
 pub use timer::TimerRing;
-pub use trace_export::chrome_trace_json;
 
 /// Version of the simulator's *behavior*, independent of the crate version.
 ///

@@ -27,7 +27,7 @@
 //! to recomputation, never to a panic or a wrong answer.
 
 use std::fs;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -381,22 +381,29 @@ impl Store {
     }
 
     /// Walks every committed record and aggregates layout statistics.
+    /// Reads only each record's header line (for `stale`); the byte counts
+    /// come from file metadata, so the cost does not grow with payloads.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures encountered during the walk.
     pub fn stats(&self) -> Result<StoreStats, StoreError> {
         let mut stats = StoreStats::default();
+        let mut header = Vec::new();
         for shard in self.shard_dirs()? {
             stats.shards += 1;
             for path in record_files(&shard)? {
-                let bytes =
-                    fs::read(&path).map_err(|e| StoreError::io("read", &path, e))?;
+                let io_err = |e| StoreError::io("read", &path, e);
+                let file = fs::File::open(&path).map_err(io_err)?;
+                let len = file.metadata().map_err(io_err)?.len();
+                header.clear();
+                BufReader::new(file).read_until(b'\n', &mut header).map_err(io_err)?;
                 stats.records += 1;
-                stats.file_bytes += bytes.len() as u64;
-                if let Some((header, payload)) = split_record(&bytes) {
-                    stats.payload_bytes += payload.len() as u64;
-                    if let Ok(h) = parse_header(header) {
+                stats.file_bytes += len;
+                // A record with no newline has no payload to count.
+                if header.pop() == Some(b'\n') {
+                    stats.payload_bytes += len.saturating_sub(header.len() as u64 + 1);
+                    if let Ok(h) = parse_header(&header) {
                         if h.salt != self.salt {
                             stats.stale += 1;
                         }
@@ -797,6 +804,62 @@ mod tests {
         assert_eq!(stats.payload_bytes, 16 * 64);
         assert!(stats.file_bytes > stats.payload_bytes, "headers take space");
         assert_eq!(stats.stale, 0);
+    }
+
+    /// What `stats` reported when it read every record in full: the
+    /// reference the header-only walk must match.
+    fn full_read_stats(store: &Store) -> StoreStats {
+        let mut stats = StoreStats::default();
+        for shard in store.shard_dirs().unwrap() {
+            stats.shards += 1;
+            for path in record_files(&shard).unwrap() {
+                let bytes = fs::read(&path).unwrap();
+                stats.records += 1;
+                stats.file_bytes += bytes.len() as u64;
+                if let Some((header, payload)) = split_record(&bytes) {
+                    stats.payload_bytes += payload.len() as u64;
+                    if parse_header(header).is_ok_and(|h| h.salt != store.salt) {
+                        stats.stale += 1;
+                    }
+                }
+            }
+        }
+        stats.quarantined = record_names(&store.quarantine).unwrap().len() as u64;
+        stats
+    }
+
+    #[test]
+    fn header_only_stats_match_full_reads_on_damaged_records() {
+        let dir = TempDir::new("stats-headers");
+        {
+            let old = Store::open(&dir.0, "v1").unwrap();
+            old.put(&key(20), b"foreign salt").unwrap();
+        }
+        let store = Store::open(&dir.0, "v2").unwrap();
+        let healthy: Vec<u8> = (0u16..300).map(|i| (i % 256) as u8).collect();
+        store.put(&key(21), &healthy).unwrap();
+        let mut expected = full_read_stats(&store);
+        assert_eq!(store.stats().unwrap(), expected, "healthy + foreign salt");
+        assert_eq!((expected.records, expected.stale), (2, 1));
+        assert_eq!(expected.payload_bytes, 300 + 12);
+
+        store.put(&key(22), b"soon to be truncated payload").unwrap();
+        let path = store.record_path(&key(22));
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+        expected = full_read_stats(&store);
+        assert_eq!(store.stats().unwrap(), expected, "truncated payload");
+        assert_eq!(expected.payload_bytes, 300 + 12 + 23);
+
+        store.put(&key(23), b"y").unwrap();
+        fs::write(store.record_path(&key(23)), b"headerless").unwrap();
+        expected = full_read_stats(&store);
+        assert_eq!(store.stats().unwrap(), expected, "no newline");
+        assert_eq!((expected.records, expected.stale), (4, 1));
+        assert_eq!(expected.payload_bytes, 300 + 12 + 23, "a headerless file has no payload");
+        let on_disk: u64 =
+            (20..24).map(|k| fs::metadata(store.record_path(&key(k))).unwrap().len()).sum();
+        assert_eq!(expected.file_bytes, on_disk);
     }
 
     #[test]

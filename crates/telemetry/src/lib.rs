@@ -22,6 +22,11 @@
 //!   prefix, configured from `RUST_LOG=<level>` or an explicit
 //!   [`log::set_level`] (the `rr` CLI's `--log-level`). Disabled levels
 //!   cost one relaxed atomic load.
+//! * **Trace documents** ([`trace`]) — the one Chrome `trace_event` JSON
+//!   writer, [`trace::TraceWriter`], streaming into any `io::Write` with a single
+//!   escaper and a per-track begin/end balance check. The simulator's
+//!   Perfetto export and [`span`]'s per-job timelines both write through
+//!   it.
 //!
 //! Zero dependencies; nothing here touches the replayable experiment
 //! reports. Telemetry observes the host, it never perturbs the science.
@@ -41,6 +46,7 @@
 pub mod log;
 pub mod metrics;
 pub mod span;
+pub mod trace;
 
 pub use log::{Level, LOGGER};
 pub use metrics::{

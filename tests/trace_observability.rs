@@ -20,6 +20,7 @@ use register_relocation::experiments::{Arch, ExperimentSpec, FaultKind};
 use register_relocation::sim::{EventAccountant, MetricsReport};
 use register_relocation::store::sha256;
 use register_relocation::trace::TracedPoint;
+use rr_telemetry::span::{chrome_timeline_json, json_string, TimelineSpan};
 
 /// SHA-256 of `rr fig5 --file 64 --seed 7 --jobs 2 --threads 8 --work 2000`
 /// stdout, captured before the event-tracing layers existed. The default
@@ -37,6 +38,18 @@ const GOLDEN_FIG5_SMALL_STDOUT: &str =
 /// pattern and the stdout golden above stayed the same.
 const GOLDEN_FIG5_SMALL_JSON: &str =
     "04528d44cfa7211f279f962282ce3e879301a22a2e7ff49d3bdf2c62abaa30a7";
+
+/// SHA-256 of [`TracedPoint::chrome_trace`] for `quick_spec(42, Sync
+/// 300, R=64)` — both architectures in one document (fixed pid 1,
+/// flexible pid 2) — captured from the per-event `String` + `join`
+/// exporter before it moved onto the streaming `TraceWriter`.
+const GOLDEN_TRACED_POINT_CHROME: &str =
+    "6b1b021542902c6b1a3ee862b3be94387e26bbbf0c5579018288a3dbb91888cb";
+
+/// SHA-256 of [`chrome_timeline_json`] over [`hostile_timeline`], captured
+/// from the pre-`TraceWriter` emitter like the trace golden above.
+const GOLDEN_HOSTILE_TIMELINE: &str =
+    "1ce156b528d0cfd17dd144be3632eab084ebc982a8d13f3f611a55e2f3330d66";
 
 fn sha256_hex(bytes: &[u8]) -> String {
     let mut h = sha256::Sha256::new();
@@ -156,6 +169,52 @@ fn traced_point_exports_valid_balanced_chrome_trace() {
         "every context-residency begin has a matching end"
     );
     assert!(doc.contains("\"pid\":1") && doc.contains("\"pid\":2"), "both architectures present");
+}
+
+/// Byte-identity pin of the simulated Perfetto export: any change to the
+/// exporter or the writer under it must leave these bytes alone.
+#[test]
+fn traced_point_chrome_trace_matches_its_golden() {
+    let spec = quick_spec(42, FaultKind::Sync { mean_latency: 300.0 }, 64.0);
+    let doc = TracedPoint::run(&spec).unwrap().chrome_trace();
+    assert_eq!(sha256_hex(doc.as_bytes()), GOLDEN_TRACED_POINT_CHROME, "{} bytes", doc.len());
+}
+
+/// A fixed span list with hostile names: quotes, backslashes, control
+/// characters and non-ASCII, on fixed and auto-assigned lanes.
+fn hostile_timeline() -> Vec<TimelineSpan> {
+    let span = |name: &str, start_us, dur_us, lane| TimelineSpan {
+        name: name.to_string(),
+        start_us,
+        dur_us,
+        lane,
+    };
+    vec![
+        span("queue \"wait\"", 0, 40, Some(0)),
+        span("run\\all\n", 40, 900, Some(0)),
+        span("point 0 \u{1}\t\r", 50, 300, None),
+        span("point 1 é→\u{7f}", 60, 200, None),
+        span("", 300, 0, None),
+        span("store put 1 \u{1f}", 350, 100, None),
+        span("zwölf \u{10ffff}", 700, 50, Some(5)),
+    ]
+}
+
+/// Byte-identity pin of the per-job timeline, `otherData` pairs included.
+#[test]
+fn hostile_timeline_matches_its_golden() {
+    let doc = chrome_timeline_json(
+        "rr-serve job \"7\"\\\n",
+        &hostile_timeline(),
+        &[
+            ("job_id", "7".to_string()),
+            ("label", json_string("fig\"5\"\u{2}")),
+            ("trace_id", "null".to_string()),
+            ("we\"ird key", "940".to_string()),
+        ],
+    );
+    serde_json::from_str::<serde::Value>(&doc).expect("timeline parses as JSON");
+    assert_eq!(sha256_hex(doc.as_bytes()), GOLDEN_HOSTILE_TIMELINE, "{doc}");
 }
 
 #[test]
