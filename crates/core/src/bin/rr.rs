@@ -181,8 +181,9 @@ exit.
 Sweep flags: --jobs 0 (default) = one worker per hardware thread; --json -
 writes the full per-run report to stdout; --threads <n> / --work <n> shrink
 the workloads for quick looks (figures use 64 threads x 20000 cycles);
---trace-out <path> re-runs the sweep's slowest point with event recording
-and writes a Perfetto-loadable Chrome trace there.
+--trace-out <path> re-runs the sweep's busiest point (most simulated cycles
+over both architectures, so the same sweep always picks the same point)
+with event recording and writes a Perfetto-loadable Chrome trace there.
 Tracing: rr trace deep-dives one grid point — see `rr trace --help`.
 Divergence: rr diverge runs two configurations of one seeded workload in
 lockstep and bisects to the exact first divergent event (or sweeps the
@@ -605,19 +606,19 @@ fn cmd_sweep(args: &[String], figure: Figure) -> Result<(), String> {
         }
     }
     if let Some(path) = flag_value(args, "--trace-out") {
-        let slow = run
+        let busiest = run
             .report
-            .slowest_point()
-            .ok_or("cannot trace the slowest point of an empty sweep")?;
+            .busiest_point()
+            .ok_or("cannot trace the busiest point of an empty sweep")?;
         let point = grid
-            .point_at(slow.file_size, slow.run_length, slow.latency)
-            .ok_or("slowest point fell off its own grid (bug)")?;
+            .point_at(busiest.file_size, busiest.run_length, busiest.latency)
+            .ok_or("busiest point fell off its own grid (bug)")?;
         info!(
             "sweep",
-            "tracing slowest point F={} R={} L={} ...",
-            slow.file_size,
-            slow.run_length,
-            slow.latency
+            "tracing busiest point F={} R={} L={} ...",
+            busiest.file_size,
+            busiest.run_length,
+            busiest.latency
         );
         let traced = TracedPoint::run(&point.spec)?;
         write_trace_file(&path, |out| traced.write_chrome_trace(out))?;

@@ -342,6 +342,16 @@ impl SweepReport {
         self.points.iter().max_by_key(|p| p.wall_nanos)
     }
 
+    /// The point with the most simulated cycles, summed over both legs;
+    /// ties go to the lower index. Unlike [`SweepReport::slowest_point`]
+    /// this depends only on the science, so the same sweep always picks the
+    /// same point.
+    pub fn busiest_point(&self) -> Option<&PointReport> {
+        self.points.iter().max_by_key(|p| {
+            (p.fixed.total_cycles + p.flexible.total_cycles, std::cmp::Reverse(p.index))
+        })
+    }
+
     /// Serializes the full report as pretty-printed JSON.
     ///
     /// # Errors

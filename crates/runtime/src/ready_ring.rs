@@ -124,10 +124,25 @@ impl ReadyRing {
     /// borrowing itself between probes. `i` must be below `len()`.
     #[inline]
     pub fn nth_in_sweep(&self, i: usize) -> usize {
+        self.entries[self.sweep_index(i)]
+    }
+
+    /// Moves the cursor onto the `i`-th element of [`ReadyRing::sweep`]'s
+    /// order — the hop count a sweep search already found, so the cursor
+    /// moves without searching the ring a second time. `i` must be below
+    /// `len()`.
+    #[inline]
+    pub fn focus_in_sweep(&mut self, i: usize) {
+        self.cursor = self.sweep_index(i);
+    }
+
+    /// Position in `entries` of the `i`-th element of the sweep.
+    #[inline]
+    fn sweep_index(&self, i: usize) -> usize {
         let n = self.entries.len();
         debug_assert!(i < n);
         let idx = self.cursor + 1 + i;
-        self.entries[if idx >= n { idx - n } else { idx }]
+        if idx >= n { idx - n } else { idx }
     }
 
     /// Iterates one full sweep starting *at* the cursor (the running

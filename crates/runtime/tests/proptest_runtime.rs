@@ -21,6 +21,8 @@ enum RingOp {
     Remove(usize),
     Advance,
     Focus(usize),
+    /// Focus the `i % len`-th element of the sweep by hop count.
+    FocusInSweep(usize),
 }
 
 fn arb_ring_ops() -> impl Strategy<Value = Vec<RingOp>> {
@@ -30,6 +32,7 @@ fn arb_ring_ops() -> impl Strategy<Value = Vec<RingOp>> {
             (0usize..12).prop_map(RingOp::Remove),
             Just(RingOp::Advance),
             (0usize..12).prop_map(RingOp::Focus),
+            (0usize..12).prop_map(RingOp::FocusInSweep),
         ],
         1..80,
     )
@@ -119,6 +122,14 @@ proptest! {
                     let a = ring.focus(t);
                     let b = model.focus(t);
                     prop_assert_eq!(a, b);
+                }
+                RingOp::FocusInSweep(i) => {
+                    if !ring.is_empty() {
+                        let i = i % ring.len();
+                        let t = model.sweep()[i];
+                        ring.focus_in_sweep(i);
+                        model.focus(t);
+                    }
                 }
             }
             prop_assert_eq!(ring.len(), model.rot.len());

@@ -19,13 +19,13 @@ use rr_runtime::{
     CostBucket, Event, EventKind, EventSink, NullSink, ReadyRing, SchedCosts, UnloadDecision,
     UnloadGovernor, UnloadPolicyKind,
 };
-use rr_workload::Workload;
+use rr_workload::{Sampler, Workload};
 
 use crate::options::SimOptions;
 use crate::snapshot::{EngineSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 use crate::stats::{decimate_checkpoints, SimStats};
 use crate::thread::{Phase, ThreadArena};
-use crate::timer::TimerRing;
+use crate::timer::TimerQueue;
 
 /// A run's statistics paired with the host-side wall-clock time it took —
 /// the per-run observability record the sweep runner aggregates.
@@ -65,6 +65,10 @@ pub struct Engine<S: EventSink = NullSink> {
     sched: SchedCosts,
     governor: UnloadGovernor,
     workload: Workload,
+    /// `workload.run_length`, prepared once for the per-dispatch draw.
+    run_length: Sampler,
+    /// `workload.latency`, prepared once for the per-fault draw.
+    latency: Sampler,
     opts: SimOptions,
     rng: SmallRng,
 
@@ -78,7 +82,7 @@ pub struct Engine<S: EventSink = NullSink> {
     /// Software queue of unloaded runnable threads (FIFO).
     supply: VecDeque<usize>,
     /// Outstanding fault completions, popped in `(wake, tid)` order.
-    timers: TimerRing,
+    timers: TimerQueue,
     /// While `Some(tid)`, allocation for the queue head `tid` is known to
     /// fail until some context is deallocated; avoids charging the same
     /// failed attempt every scheduling decision.
@@ -159,12 +163,12 @@ impl<S: EventSink> Engine<S> {
                 ));
             }
         }
+        let (run_length, latency) = samplers(&workload)?;
         let arena = ThreadArena::new(&workload.threads);
         let unload_cost =
             workload.threads.iter().map(|t| sched.unload_cost(t.regs_needed)).collect();
         let supply = (0..arena.len()).collect();
         let rng = SmallRng::seed_from_u64(workload.seed);
-        let timers = TimerRing::for_mean_latency(workload.latency.mean());
         let checkpoint = opts.checkpoint_interval;
         let trim = opts.transient_trim;
         Ok(Engine {
@@ -173,13 +177,15 @@ impl<S: EventSink> Engine<S> {
             sched,
             governor: UnloadGovernor::with_capacity(policy, arena.len()),
             workload,
+            run_length,
+            latency,
             opts,
             rng,
             arena,
             unload_cost,
             ring: ReadyRing::new(),
             supply,
-            timers,
+            timers: TimerQueue::new(),
             alloc_blocked_for: None,
             now: 0,
             stats: SimStats { transient_trim: trim, ..SimStats::default() },
@@ -338,7 +344,7 @@ impl<S: EventSink> Engine<S> {
     /// Meaningful at construction time or wherever [`Engine::advance`]
     /// paused; the capture is pure (the engine is untouched) and total —
     /// restoring it reproduces the remaining run bit-exactly, including the
-    /// RNG stream, timer wheel pop order, ready-ring rotation, and every
+    /// RNG stream, timer pop order, ready-ring rotation, and every
     /// statistics accumulator.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
@@ -354,7 +360,6 @@ impl<S: EventSink> Engine<S> {
             unload_cost: self.unload_cost.clone(),
             ring: self.ring.clone(),
             supply: self.supply.iter().copied().collect(),
-            timer_shift: self.timers.shift(),
             timers: self.timers.entries(),
             alloc_blocked_for: self.alloc_blocked_for,
             now: self.now,
@@ -387,14 +392,17 @@ impl<S: EventSink> Engine<S> {
     pub fn restore_with_sink(snap: &EngineSnapshot, sink: S) -> Result<Self, SnapshotError> {
         snap.check_versions()?;
         snap.validate().map_err(SnapshotError::Invalid)?;
-        let timers = TimerRing::from_entries(snap.timer_shift, snap.now, &snap.timers)
-            .map_err(SnapshotError::Invalid)?;
+        let (run_length, latency) = samplers(&snap.workload).map_err(SnapshotError::Invalid)?;
+        let timers =
+            TimerQueue::from_entries(snap.now, &snap.timers).map_err(SnapshotError::Invalid)?;
         Ok(Engine {
             alloc_costs: snap.alloc.costs(),
             alloc: snap.alloc.clone(),
             sched: snap.sched,
             governor: snap.governor.clone(),
             workload: snap.workload.clone(),
+            run_length,
+            latency,
             opts: snap.opts.clone(),
             rng: SmallRng::from_state(snap.rng),
             arena: snap.arena.clone(),
@@ -491,7 +499,7 @@ impl<S: EventSink> Engine<S> {
         let arena = &self.arena;
         let (hops, tid) =
             self.ring.sweep().enumerate().find(|&(_, t)| arena.is_ready_at(t, now))?;
-        self.ring.focus(tid);
+        self.ring.focus_in_sweep(hops);
         self.emit(EventKind::SwitchTo { thread: tid, hops });
         self.spend(u64::from(self.sched.context_switch), CostBucket::Switch, Some(tid));
         self.arena.phase[tid] = Phase::ResidentReady;
@@ -630,7 +638,7 @@ impl<S: EventSink> Engine<S> {
 
     /// Runs the dispatched thread until its next fault or completion.
     fn run_thread(&mut self, tid: usize) {
-        let mut run = self.workload.run_length.sample(&mut self.rng);
+        let mut run = self.run_length.sample(&mut self.rng);
         if let Some(intf) = self.opts.interference {
             run = intf.scale_run(run, self.ring.len());
         }
@@ -640,10 +648,10 @@ impl<S: EventSink> Engine<S> {
         if self.arena.remaining[tid] == 0 {
             self.complete(tid);
         } else {
-            let latency = self.workload.latency.sample(&mut self.rng);
+            let latency = self.latency.sample(&mut self.rng);
             let wake = self.now + latency;
             self.arena.phase[tid] = Phase::ResidentBlocked { wake };
-            self.timers.push(self.now, wake, tid);
+            self.timers.push(wake, tid);
             self.stats.faults += 1;
             self.emit(EventKind::Fault { thread: tid, latency, wake });
         }
@@ -667,7 +675,7 @@ impl<S: EventSink> Engine<S> {
     /// event is pending (which, given the loop's invariants, means all
     /// remaining work is unreachable — it cannot happen on a valid setup).
     fn idle_until_next_event(&mut self) -> bool {
-        match self.timers.next_wake(self.now) {
+        match self.timers.next_wake() {
             Some(wake) if wake > self.now => {
                 let dt = wake - self.now;
                 self.emit(EventKind::IdleStart { until: wake });
@@ -679,6 +687,15 @@ impl<S: EventSink> Engine<S> {
             None => false,
         }
     }
+}
+
+/// The workload's run-length and latency distributions, prepared for the
+/// engine's per-dispatch and per-fault draws.
+fn samplers(workload: &Workload) -> Result<(Sampler, Sampler), String> {
+    let run_length =
+        Sampler::new(workload.run_length).map_err(|why| format!("run length: {why}"))?;
+    let latency = Sampler::new(workload.latency).map_err(|why| format!("latency: {why}"))?;
+    Ok((run_length, latency))
 }
 
 #[cfg(test)]

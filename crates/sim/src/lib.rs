@@ -64,7 +64,7 @@ pub use metrics::{HistBucket, LogHistogram, MetricsReport, MetricsWindow};
 pub use options::{DispatchMode, SimOptions};
 pub use snapshot::{EngineSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 pub use stats::{decimate_checkpoints, SimStats};
-pub use timer::TimerRing;
+pub use timer::TimerQueue;
 
 /// Version of the simulator's *behavior*, independent of the crate version.
 ///

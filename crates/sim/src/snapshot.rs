@@ -26,7 +26,10 @@ use crate::thread::ThreadArena;
 
 /// Version of the [`EngineSnapshot`] record layout. Bump on any field
 /// change; restore rejects other versions rather than misinterpreting them.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
+///
+/// Version 2: `timer_shift` (the old bucket ring's granularity) is gone;
+/// the timer queue is rebuilt from `timers` alone.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
 
 /// Why a snapshot could not be restored. Every variant is a signal to
 /// degrade to recompute-from-zero, never a reason to crash.
@@ -104,8 +107,6 @@ pub struct EngineSnapshot {
     pub ring: ReadyRing,
     /// The software supply queue, front first.
     pub supply: Vec<usize>,
-    /// The timer ring's bucket granularity.
-    pub timer_shift: u32,
     /// Outstanding fault completions as `(wake, tid)`, ascending. The pop
     /// order is a pure function of this multiset, so it is all a rebuild
     /// needs.

@@ -1,245 +1,92 @@
-//! A bucketed timer ring for fault-completion wakeups.
+//! The engine's queue of fault-completion wakeups.
 //!
-//! The engine's wakeup queue holds at most one outstanding fault per
-//! resident context, with wake times clustered around the workload's fault
-//! latency. A comparison-based `BinaryHeap` pays `O(log n)` sift work and
-//! pointer-chasing per fault; this ring instead hashes each wakeup into one
-//! of 64 time buckets sized to the latency distribution, so pushes are an
-//! indexed insert into a (nearly always tiny) sorted bucket and pops scan a
-//! 64-bit occupancy word. Wakes beyond the 64-bucket window park in an
-//! overflow list and migrate in as the window slides.
-//!
-//! Pop order is exactly the heap's: ascending `(wake, tid)`, ties broken by
-//! the lower thread id — the property the cycle-exact golden tests pin.
-//!
-//! Callers must present a nondecreasing `now` across calls (simulation time
-//! never runs backwards) and only push wakes at or after `now`.
+//! A thin wrapper over `std`'s `BinaryHeap<Reverse<(u64, usize)>>`: pop
+//! order is ascending `(wake, tid)`, ties broken by the lower thread id —
+//! the property the cycle-exact golden tests pin. The queue holds one entry
+//! per outstanding fault, at most one per thread plus the stale entries of
+//! threads that were unloaded and requeued before their wake, and its
+//! `O(log n)` sift work grows no cliff at large thread counts.
 
-/// Number of buckets in the sliding window. One `u64` occupancy word scans
-/// the whole window in a couple of instructions.
-const BUCKETS: usize = 64;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// A sliding-window bucket queue of `(wake, tid)` wakeups.
-#[derive(Debug)]
-pub struct TimerRing {
-    /// log2 of the cycle span each bucket covers.
-    shift: u32,
-    /// `buckets[tick % 64]` holds the wakeups of absolute tick `tick`,
-    /// sorted ascending by `(wake, tid)`.
-    buckets: [Vec<(u64, usize)>; BUCKETS],
-    /// Bit `tick % 64` set iff that bucket is non-empty.
-    occupied: u64,
-    /// Absolute tick of the window's lower edge; all bucketed entries have
-    /// ticks in `[cursor, cursor + 64)` (overdue entries are clamped onto
-    /// `cursor`, which preserves pop order — see `place`).
-    cursor: u64,
-    /// Wakeups beyond the window, unordered.
-    overflow: Vec<(u64, usize)>,
-    /// Minimum wake in `overflow` (`u64::MAX` when empty).
-    overflow_min: u64,
-    len: usize,
+/// A min-queue of `(wake, tid)` wakeups.
+#[derive(Debug, Default)]
+pub struct TimerQueue {
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
-impl TimerRing {
-    /// A ring whose buckets each span `2^shift` cycles.
-    pub fn new(shift: u32) -> Self {
-        TimerRing {
-            shift: shift.min(48),
-            buckets: std::array::from_fn(|_| Vec::new()),
-            occupied: 0,
-            cursor: 0,
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
-            len: 0,
-        }
-    }
-
-    /// A ring sized to a fault-latency distribution: the 64-bucket window
-    /// spans roughly four times the mean latency, so the common wakeup
-    /// lands in the window and only the distribution's tail overflows.
-    pub fn for_mean_latency(mean: f64) -> Self {
-        let per_bucket = (mean / 16.0).max(1.0) as u64;
-        let mut shift = 0u32;
-        while (1u64 << shift) < per_bucket {
-            shift += 1;
-        }
-        TimerRing::new(shift)
+impl TimerQueue {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Outstanding wakeups.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
-    /// The configured bucket granularity (log2 cycles per bucket).
-    pub fn shift(&self) -> u32 {
-        self.shift
+    /// Whether no wakeups are outstanding.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
     /// Every outstanding wakeup, ascending by `(wake, tid)`. Pop order is a
-    /// pure function of this multiset and the query time (the heap-model
-    /// test pins that), so the entry list — not the window internals — is
-    /// what a checkpoint needs to capture.
+    /// pure function of this multiset, so it is all a checkpoint needs to
+    /// capture.
     pub fn entries(&self) -> Vec<(u64, usize)> {
-        let mut out: Vec<(u64, usize)> = self
-            .buckets
-            .iter()
-            .flatten()
-            .chain(self.overflow.iter())
-            .copied()
-            .collect();
+        let mut out: Vec<(u64, usize)> = self.heap.iter().map(|&Reverse(e)| e).collect();
         out.sort_unstable();
         out
     }
 
-    /// Rebuilds a ring at time `now` from [`TimerRing::entries`] output.
-    /// The rebuilt ring pops and reports exactly like the captured one for
-    /// every query at or after `now`.
+    /// Rebuilds a queue at time `now` from [`TimerQueue::entries`] output.
     ///
     /// # Errors
     ///
     /// Rejects entries that wake before `now` — a valid capture taken after
     /// the engine drained its due wakeups can never contain one.
-    pub fn from_entries(
-        shift: u32,
-        now: u64,
-        entries: &[(u64, usize)],
-    ) -> Result<TimerRing, String> {
-        let mut ring = TimerRing::new(shift);
-        for &(wake, tid) in entries {
-            if wake < now {
-                return Err(format!(
-                    "timer entry for thread {tid} wakes at {wake}, before restore time {now}"
-                ));
-            }
-            ring.push(now, wake, tid);
+    pub fn from_entries(now: u64, entries: &[(u64, usize)]) -> Result<TimerQueue, String> {
+        if let Some(&(wake, tid)) = entries.iter().find(|&&(wake, _)| wake < now) {
+            return Err(format!(
+                "timer entry for thread {tid} wakes at {wake}, before restore time {now}"
+            ));
         }
-        Ok(ring)
+        Ok(TimerQueue { heap: entries.iter().map(|&e| Reverse(e)).collect() })
     }
 
-    /// Whether no wakeups are outstanding.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Offset (in ticks from `cursor`) of the first occupied bucket.
-    /// Meaningless when `occupied == 0`.
-    #[inline]
-    fn first_offset(&self) -> u64 {
-        u64::from(self.occupied.rotate_right((self.cursor % 64) as u32).trailing_zeros())
-    }
-
-    /// Slides the window up to `now`'s tick, never past an occupied bucket,
-    /// and migrates any overflow wakeups the window now reaches.
-    #[inline]
-    fn advance(&mut self, now: u64) {
-        let target = now >> self.shift;
-        if target > self.cursor {
-            self.cursor = if self.occupied == 0 {
-                target
-            } else {
-                target.min(self.cursor + self.first_offset())
-            };
-            self.migrate();
-        }
-    }
-
-    /// Pulls overflow wakeups that now fit the window into their buckets.
-    fn migrate(&mut self) {
-        if self.overflow_min >> self.shift >= self.cursor + BUCKETS as u64 {
-            return;
-        }
-        let pending = std::mem::take(&mut self.overflow);
-        self.overflow_min = u64::MAX;
-        for (wake, tid) in pending {
-            if wake >> self.shift < self.cursor + BUCKETS as u64 {
-                self.place(wake, tid);
-            } else {
-                self.overflow_min = self.overflow_min.min(wake);
-                self.overflow.push((wake, tid));
-            }
-        }
-    }
-
-    /// Files a wakeup into its bucket, keeping the bucket `(wake, tid)`
-    /// sorted. Overdue ticks clamp onto the cursor bucket: they pop before
-    /// every in-window tick, and the within-bucket sort keeps them in wake
-    /// order, so global pop order is preserved.
-    fn place(&mut self, wake: u64, tid: usize) {
-        let tick = (wake >> self.shift).max(self.cursor);
-        debug_assert!(tick < self.cursor + BUCKETS as u64);
-        let b = (tick % BUCKETS as u64) as usize;
-        let bucket = &mut self.buckets[b];
-        let at = bucket.partition_point(|&e| e < (wake, tid));
-        bucket.insert(at, (wake, tid));
-        self.occupied |= 1u64 << b;
-    }
-
-    /// Schedules `tid` to wake at cycle `wake` (`wake >= now`).
-    pub fn push(&mut self, now: u64, wake: u64, tid: usize) {
-        debug_assert!(wake >= now, "wake {wake} before now {now}");
-        self.advance(now);
-        if wake >> self.shift >= self.cursor + BUCKETS as u64 {
-            self.overflow_min = self.overflow_min.min(wake);
-            self.overflow.push((wake, tid));
-        } else {
-            self.place(wake, tid);
-        }
-        self.len += 1;
+    /// Schedules `tid` to wake at cycle `wake`.
+    pub fn push(&mut self, wake: u64, tid: usize) {
+        self.heap.push(Reverse((wake, tid)));
     }
 
     /// Removes and returns the earliest wakeup with `wake <= now`, ties
-    /// broken by lower tid — exactly a min-heap's pop order.
+    /// broken by lower tid.
     pub fn pop_due(&mut self, now: u64) -> Option<(u64, usize)> {
-        self.advance(now);
-        if self.occupied == 0 {
-            // Anything overflowed is beyond the window and the window
-            // reaches past `now`, so nothing can be due.
-            return None;
+        match self.heap.peek() {
+            Some(&Reverse((wake, _))) if wake <= now => self.heap.pop().map(|Reverse(e)| e),
+            _ => None,
         }
-        let tick = self.cursor + self.first_offset();
-        let b = (tick % BUCKETS as u64) as usize;
-        let &(wake, tid) = self.buckets[b].first().expect("occupied bit set");
-        if wake > now {
-            return None;
-        }
-        self.buckets[b].remove(0);
-        if self.buckets[b].is_empty() {
-            self.occupied &= !(1u64 << b);
-        }
-        self.len -= 1;
-        Some((wake, tid))
     }
 
     /// The earliest outstanding wake cycle, due or not.
-    pub fn next_wake(&mut self, now: u64) -> Option<u64> {
-        self.advance(now);
-        if self.occupied != 0 {
-            let tick = self.cursor + self.first_offset();
-            let b = (tick % BUCKETS as u64) as usize;
-            return self.buckets[b].first().map(|&(wake, _)| wake);
-        }
-        if !self.overflow.is_empty() {
-            return Some(self.overflow_min);
-        }
-        None
+    pub fn next_wake(&self) -> Option<u64> {
+        self.heap.peek().map(|&Reverse((wake, _))| wake)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_wake_then_tid_order() {
-        let mut t = TimerRing::new(3);
-        t.push(0, 50, 2);
-        t.push(0, 50, 1);
-        t.push(0, 10, 9);
+        let mut t = TimerQueue::new();
+        t.push(50, 2);
+        t.push(50, 1);
+        t.push(10, 9);
         assert_eq!(t.len(), 3);
         assert_eq!(t.pop_due(100), Some((10, 9)));
         assert_eq!(t.pop_due(100), Some((50, 1)));
@@ -250,92 +97,126 @@ mod tests {
 
     #[test]
     fn not_due_is_not_popped() {
-        let mut t = TimerRing::new(0);
-        t.push(0, 5, 0);
+        let mut t = TimerQueue::new();
+        t.push(5, 0);
         assert_eq!(t.pop_due(4), None);
-        assert_eq!(t.next_wake(4), Some(5));
+        assert_eq!(t.next_wake(), Some(5));
         assert_eq!(t.pop_due(5), Some((5, 0)));
-    }
-
-    #[test]
-    fn overflow_migrates_as_time_advances() {
-        let mut t = TimerRing::new(0); // 64-cycle window
-        t.push(0, 1_000_000, 3);
-        t.push(0, 10, 1);
-        assert_eq!(t.next_wake(0), Some(10));
-        assert_eq!(t.pop_due(10), Some((10, 1)));
-        assert_eq!(t.pop_due(10), None);
-        // Idle jump straight to the far wake.
-        assert_eq!(t.next_wake(10), Some(1_000_000));
-        assert_eq!(t.pop_due(1_000_000), Some((1_000_000, 3)));
-        assert!(t.is_empty());
     }
 
     #[test]
     fn same_wake_same_tid_duplicates_survive() {
         // A stale event plus a fresh one can collide exactly; both pop.
-        let mut t = TimerRing::new(2);
-        t.push(0, 40, 5);
-        t.push(0, 40, 5);
+        let mut t = TimerQueue::new();
+        t.push(40, 5);
+        t.push(40, 5);
         assert_eq!(t.pop_due(40), Some((40, 5)));
         assert_eq!(t.pop_due(40), Some((40, 5)));
         assert_eq!(t.pop_due(40), None);
     }
 
-    /// Model test: against a `BinaryHeap<Reverse<(u64, usize)>>` under a
-    /// randomized monotone schedule of pushes, pops, and idle jumps, the
-    /// ring must agree on every pop and every next-wake query.
     #[test]
-    fn matches_binary_heap_model_under_random_schedules() {
-        for seed in 0..20u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let shift = rng.gen_range(0..8u32);
-            let mut ring = TimerRing::new(shift);
-            let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    fn from_entries_rejects_wakes_before_now() {
+        assert!(TimerQueue::from_entries(10, &[(10, 0), (12, 1)]).is_ok());
+        let err = TimerQueue::from_entries(10, &[(12, 1), (9, 3)]).unwrap_err();
+        assert!(err.contains("thread 3"), "{err}");
+    }
+
+    /// One step of a timer schedule, as the engine drives it.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Push a wake `delay` cycles after `now` (0 = due immediately).
+        Push { delay: u64, tid: usize },
+        /// Push an exact copy of the earliest outstanding `(wake, tid)`,
+        /// when it is not already overdue.
+        Duplicate,
+        PopDue,
+        NextWake,
+        /// Advance `now` by a step.
+        Step(u64),
+        /// Advance `now` to the next wake (the engine's idle jump).
+        Idle,
+        /// Rebuild the queue from its own entries, as a checkpoint does.
+        RoundTrip,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            5 => (0u64..5000, 0usize..32).prop_map(|(delay, tid)| Op::Push { delay, tid }),
+            1 => (0u64..4, 0usize..4).prop_map(|(delay, tid)| Op::Push { delay, tid }),
+            1 => Just(Op::Duplicate),
+            4 => Just(Op::PopDue),
+            1 => Just(Op::NextWake),
+            2 => (0u64..200).prop_map(Op::Step),
+            1 => (0u64..20_000).prop_map(Op::Step),
+            1 => Just(Op::Idle),
+            1 => Just(Op::RoundTrip),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Contract test against a sorted-`Vec` model under monotone `now`
+        /// and pushes at or after `now`: every pop, next-wake query, length
+        /// and mid-schedule `entries()` → `from_entries` rebuild agrees.
+        #[test]
+        fn matches_sorted_vec_model_under_random_schedules(
+            ops in prop::collection::vec(arb_op(), 1..400),
+        ) {
+            let mut queue = TimerQueue::new();
+            let mut model: Vec<(u64, usize)> = Vec::new(); // ascending
             let mut now = 0u64;
-            for _ in 0..2000 {
-                match rng.gen_range(0..10u32) {
-                    0..=4 => {
-                        let wake = now + rng.gen_range(0..5000u64);
-                        let tid = rng.gen_range(0..32usize);
-                        ring.push(now, wake, tid);
-                        heap.push(Reverse((wake, tid)));
+            for op in &ops {
+                match *op {
+                    Op::Push { delay, tid } => {
+                        queue.push(now + delay, tid);
+                        let e = (now + delay, tid);
+                        let at = model.partition_point(|&m| m <= e);
+                        model.insert(at, e);
                     }
-                    5..=7 => {
-                        let model = match heap.peek() {
-                            Some(&Reverse((wake, tid))) if wake <= now => {
-                                heap.pop();
-                                Some((wake, tid))
-                            }
+                    Op::Duplicate => {
+                        if let Some(&(wake, tid)) = model.first().filter(|e| e.0 >= now) {
+                            queue.push(wake, tid);
+                            model.insert(0, (wake, tid));
+                        }
+                    }
+                    Op::PopDue => {
+                        let want = match model.first() {
+                            Some(&e) if e.0 <= now => Some(model.remove(0)),
                             _ => None,
                         };
-                        assert_eq!(ring.pop_due(now), model, "seed {seed} now {now}");
+                        prop_assert_eq!(queue.pop_due(now), want, "now {}", now);
                     }
-                    8 => {
-                        let model = heap.peek().map(|&Reverse((wake, _))| wake);
-                        assert_eq!(ring.next_wake(now), model, "seed {seed} now {now}");
+                    Op::NextWake => {
+                        prop_assert_eq!(queue.next_wake(), model.first().map(|e| e.0));
                     }
-                    _ => {
-                        // Advance time: small step, or jump to the next wake
-                        // (the engine's idle), or a long leap.
-                        now += match rng.gen_range(0..3u32) {
-                            0 => rng.gen_range(0..50u64),
-                            1 => heap
-                                .peek()
-                                .map(|&Reverse((wake, _))| wake.saturating_sub(now))
-                                .unwrap_or(100),
-                            _ => rng.gen_range(0..20_000u64),
-                        };
+                    Op::Step(dt) => now += dt,
+                    Op::Idle => {
+                        if let Some(&(wake, _)) = model.first() {
+                            now = now.max(wake);
+                        }
+                    }
+                    Op::RoundTrip => {
+                        // A checkpoint is taken after the engine drains its
+                        // due wakeups; drain both sides first, then rebuild.
+                        while let Some(e) = queue.pop_due(now) {
+                            prop_assert_eq!(e, model.remove(0));
+                        }
+                        prop_assert!(model.first().is_none_or(|e| e.0 > now));
+                        let entries = queue.entries();
+                        prop_assert_eq!(&entries, &model);
+                        queue = TimerQueue::from_entries(now, &entries)
+                            .map_err(TestCaseError::fail)?;
                     }
                 }
+                prop_assert_eq!(queue.len(), model.len());
             }
             // Drain both to the end.
-            now = now.max(u64::MAX >> 16);
-            while let Some(Reverse(expect)) = heap.pop() {
-                assert_eq!(ring.pop_due(now), Some(expect), "seed {seed} drain");
+            while let Some(e) = queue.pop_due(u64::MAX) {
+                prop_assert_eq!(e, model.remove(0));
             }
-            assert_eq!(ring.pop_due(now), None);
-            assert!(ring.is_empty());
+            prop_assert!(model.is_empty() && queue.is_empty());
         }
     }
 }

@@ -657,9 +657,16 @@ mod tests {
         let dir = TempDir::new("relaxed");
         let store =
             Store::open(&dir.0, "salt-1").unwrap().with_durability(Durability::Relaxed);
-        let before = METRICS.store.fsync_count.count();
-        store.put(&key(9), b"cache-grade").unwrap();
-        assert_eq!(METRICS.store.fsync_count.count(), before, "no fsync issued");
+        // The fsync counter is process-wide and the other tests in this
+        // binary run in parallel, some with synced puts. A relaxed put that
+        // fsyncs moves the counter on every attempt; one quiet attempt out
+        // of several shows it does not.
+        let quiet = (0..20).any(|_| {
+            let before = METRICS.store.fsync_count.count();
+            store.put(&key(9), b"cache-grade").unwrap();
+            METRICS.store.fsync_count.count() == before
+        });
+        assert!(quiet, "no fsync issued");
         assert_eq!(store.get(&key(9)).unwrap(), Lookup::Hit(b"cache-grade".to_vec()));
         // Integrity checks are durability-independent.
         assert!(store.verify().unwrap().quarantined.is_empty());

@@ -403,8 +403,8 @@ mod tests {
             let doc = into_string(tw.finish(&[("na\"me", &json)])).unwrap();
 
             // Strict JSON: no raw control character inside a string, so the
-            // only ones left are the newlines between events (the vendored
-            // parser is lenient here, so this is checked on the bytes).
+            // only ones left are the newlines between events. The vendored
+            // parser rejects them too; this byte check does not depend on it.
             prop_assert!(doc.bytes().all(|b| b >= 0x20 || b == b'\n'), "{doc:?}");
             let parsed: Value = serde_json::from_str(&doc).expect("document parses");
             let other = parsed.get("otherData").and_then(|o| o.get("na\"me"));

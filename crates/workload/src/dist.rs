@@ -49,47 +49,14 @@ pub enum Dist {
 }
 
 impl Dist {
-    /// Draws one sample.
+    /// Draws one sample, through a [`Sampler`] prepared for this one draw.
     ///
     /// # Panics
     ///
-    /// Panics if the distribution's parameters are invalid (non-positive
-    /// mean, `lo > hi`); construct-time validation is the caller's job via
-    /// [`Dist::validate`].
+    /// Panics if the distribution's parameters are invalid (see
+    /// [`Dist::validate`]); construct-time validation is the caller's job.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        match *self {
-            Dist::Constant(v) => v,
-            Dist::Geometric { mean } => {
-                assert!(mean >= 1.0, "geometric mean must be >= 1");
-                if mean == 1.0 {
-                    return 1;
-                }
-                // P(fault on a cycle) = 1/mean; support {1, 2, ...} with
-                // E[X] = mean. Inverse CDF: X = ceil(ln(1-u) / ln(1-p)).
-                let p = 1.0 / mean;
-                let u: f64 = rng.gen_range(0.0..1.0);
-                let x = ((1.0 - u).ln() / (1.0 - p).ln()).ceil();
-                (x as u64).max(1)
-            }
-            Dist::Exponential { mean } => {
-                assert!(mean > 0.0, "exponential mean must be positive");
-                let u: f64 = rng.gen_range(0.0..1.0);
-                let x = -mean * (1.0 - u).ln();
-                (x.round() as u64).max(1)
-            }
-            Dist::UniformInt { lo, hi } => {
-                assert!(lo <= hi, "uniform bounds out of order");
-                rng.gen_range(lo..=hi)
-            }
-            Dist::CacheSyncMix { p_cache, cache_latency, sync_mean } => {
-                assert!((0.0..=1.0).contains(&p_cache), "mixture weight out of range");
-                if rng.gen_range(0.0..1.0) < p_cache {
-                    cache_latency
-                } else {
-                    Dist::Exponential { mean: sync_mean }.sample(rng)
-                }
-            }
-        }
+        Sampler::new(*self).unwrap_or_else(|why| panic!("{why}")).sample(rng)
     }
 
     /// The distribution's mean.
@@ -128,6 +95,81 @@ impl Dist {
                 }
             }
         }
+    }
+}
+
+/// A validated [`Dist`] prepared for repeated sampling: the geometric's
+/// `ln(1 - 1/mean)` is computed once here instead of once per draw.
+/// [`Dist::sample`] draws through this same code, so a prepared sampler
+/// and its distribution produce the identical stream.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sampler {
+    dist: Dist,
+    /// `ln(1 - 1/mean)` for [`Dist::Geometric`]; unused otherwise.
+    ln_stay: f64,
+}
+
+impl Sampler {
+    /// Prepares `dist` for sampling.
+    ///
+    /// # Errors
+    ///
+    /// The [`Dist::validate`] reason when the parameters are out of range.
+    pub fn new(dist: Dist) -> Result<Sampler, String> {
+        dist.validate()?;
+        let ln_stay = match dist {
+            Dist::Geometric { mean } => (1.0 - 1.0 / mean).ln(),
+            _ => 0.0,
+        };
+        Ok(Sampler { dist, ln_stay })
+    }
+
+    /// Draws one sample.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        match self.dist {
+            Dist::Constant(v) => v,
+            Dist::Geometric { mean } => {
+                if mean == 1.0 {
+                    return 1;
+                }
+                // P(fault on a cycle) = 1/mean; support {1, 2, ...} with
+                // E[X] = mean. Inverse CDF: X = ceil(ln(1-u) / ln(1-p)).
+                let u: f64 = rng.gen_range(0.0..1.0);
+                ceil_u64((1.0 - u).ln() / self.ln_stay).max(1)
+            }
+            Dist::Exponential { mean } => exponential(mean, rng),
+            Dist::UniformInt { lo, hi } => rng.gen_range(lo..=hi),
+            Dist::CacheSyncMix { p_cache, cache_latency, sync_mean } => {
+                if rng.gen_range(0.0..1.0) < p_cache {
+                    cache_latency
+                } else {
+                    exponential(sync_mean, rng)
+                }
+            }
+        }
+    }
+}
+
+/// Exponential with the given mean, rounded to at least one cycle.
+fn exponential<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> u64 {
+    let u: f64 = rng.gen_range(0.0..1.0);
+    let x = -mean * (1.0 - u).ln();
+    (x.round() as u64).max(1)
+}
+
+/// `q.ceil() as u64` for every `f64`, NaN and infinities included, without
+/// the float `ceil` call (a soft-float library call on the baseline x86-64
+/// target). The truncating cast saturates and maps NaN to 0 exactly like
+/// the cast after `ceil`; rounding up is needed only when truncation
+/// dropped a fraction, and saturates at `u64::MAX` like the cast would.
+#[inline]
+fn ceil_u64(q: f64) -> u64 {
+    let t = q as u64;
+    if (t as f64) < q {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -193,6 +235,7 @@ impl ContextSizeDist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -332,6 +375,96 @@ mod tests {
         let frac = smalls as f64 / n as f64;
         assert!((frac - 0.75).abs() < 0.02, "got {frac}");
         assert!((d.mean() - (0.75 * 4.0 + 0.25 * 32.0)).abs() < 1e-12);
+    }
+
+    /// The geometric draw as it was written before [`Sampler`]: the log
+    /// of the stay probability and the float `ceil` on every sample.
+    fn geometric_reference(mean: f64, rng: &mut SmallRng) -> u64 {
+        if mean == 1.0 {
+            return 1;
+        }
+        let p = 1.0 / mean;
+        let u: f64 = rng.gen_range(0.0..1.0);
+        let x = ((1.0 - u).ln() / (1.0 - p).ln()).ceil();
+        (x as u64).max(1)
+    }
+
+    #[test]
+    fn prepared_geometric_matches_the_per_sample_formula() {
+        for mean in [1.0, 1.0 + 1e-12, 1.5, 2.0, 8.0, 32.0, 100.0, 1e9, 1e300, f64::INFINITY] {
+            let sampler = Sampler::new(Dist::Geometric { mean }).unwrap();
+            let mut a = SmallRng::seed_from_u64(mean.to_bits());
+            let mut b = SmallRng::seed_from_u64(mean.to_bits());
+            for _ in 0..20_000 {
+                assert_eq!(sampler.sample(&mut a), geometric_reference(mean, &mut b), "mean {mean}");
+            }
+            // The streams stayed in lockstep: both consumed the same words.
+            assert_eq!(a.to_state(), b.to_state());
+        }
+    }
+
+    #[test]
+    fn integer_ceil_matches_float_ceil_on_edge_values() {
+        let two53 = (1u64 << 53) as f64;
+        let two64 = 18_446_744_073_709_551_616.0f64;
+        for q in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            3.0,
+            two53 - 1.0,
+            two53 - 0.5,
+            two53,
+            two53 + 2.0,
+            (1u64 << 63) as f64,
+            two64 - 2048.0,
+            two64,
+            two64 * 2.0,
+            f64::MAX,
+            f64::INFINITY,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            assert_eq!(ceil_u64(q), q.ceil() as u64, "q = {q:e}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Any bit pattern at all, including NaN payloads and subnormals.
+        #[test]
+        fn integer_ceil_matches_float_ceil_on_any_bits(bits in any::<u64>()) {
+            let q = f64::from_bits(bits);
+            prop_assert_eq!(ceil_u64(q), q.ceil() as u64, "q = {:e}", q);
+        }
+
+        /// The quotients the geometric sampler actually forms.
+        #[test]
+        fn integer_ceil_matches_float_ceil_on_geometric_quotients(
+            u in 0.0f64..1.0,
+            mean in 1.0f64..1e6,
+        ) {
+            let q = (1.0 - u).ln() / (1.0 - 1.0 / mean).ln();
+            prop_assert_eq!(ceil_u64(q), q.ceil() as u64, "q = {:e}", q);
+        }
+    }
+
+    #[test]
+    fn invalid_dists_do_not_prepare() {
+        assert!(Sampler::new(Dist::Geometric { mean: 0.5 }).is_err());
+        assert!(Sampler::new(Dist::Geometric { mean: f64::NAN }).is_err());
+        assert!(Sampler::new(Dist::Exponential { mean: 0.0 }).is_err());
+        assert!(Sampler::new(Dist::UniformInt { lo: 2, hi: 1 }).is_err());
     }
 
     #[test]

@@ -20,5 +20,5 @@
 pub mod dist;
 pub mod spec;
 
-pub use dist::{ContextSizeDist, Dist};
+pub use dist::{ContextSizeDist, Dist, Sampler};
 pub use spec::{ThreadSpec, Workload, WorkloadBuilder};

@@ -13,6 +13,7 @@ use std::path::PathBuf;
 
 use register_relocation::cache;
 use register_relocation::experiments::{Arch, ExperimentSpec};
+use register_relocation::sim::{Engine, EngineSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 use register_relocation::store::{Lookup, PutFault};
 use register_relocation::sweep::{SweepGrid, SweepRunner};
 use rr_telemetry::{IncMetric, METRICS};
@@ -199,6 +200,50 @@ fn damaged_checkpoints_degrade_to_recompute() {
         assert_eq!(p.fixed, r.fixed, "undecodable checkpoint must be refused");
         assert_eq!(p.flexible, r.flexible);
     }
+}
+
+/// A checkpoint written by a build with the version-1 snapshot layout
+/// (which still carried the bucket timer ring's `timer_shift`) is refused
+/// with a schema mismatch, and the sweep recomputes the point from cycle 0.
+/// The planted state is poisoned, so a resume from it could not reproduce
+/// the plain run's science.
+#[test]
+fn schema_v1_checkpoint_is_recomputed_not_resumed() {
+    let dir = TempDir::new("schema-v1");
+    let grid = mini_grid(34);
+    let point = &grid.points()[0];
+    let store = cache::open_store(&dir.0).unwrap();
+    let fixed_spec = point.spec.with_arch(Arch::Fixed);
+    let key = cache::snapshot_key(&fixed_spec, store.salt()).unwrap();
+
+    let plain = SweepRunner::new(1).with_progress(false).run(&grid).unwrap();
+
+    let mut engine = fixed_spec.engine().unwrap();
+    assert!(!engine.advance(3_000));
+    let mut poisoned = engine.snapshot();
+    poisoned.stats.faults += 1_000_000;
+    // Control: resumed, the poisoned state does reach the final stats.
+    let resumed = Engine::restore(&poisoned).unwrap().run();
+    assert_ne!(resumed.faults, plain.report.points[0].fixed.faults);
+
+    let stamp = format!("\"schema_version\":{SNAPSHOT_SCHEMA_VERSION},");
+    let v1 = poisoned
+        .to_json()
+        .replacen(&stamp, "\"schema_version\":1,", 1)
+        .replacen("\"timers\":", "\"timer_shift\":4,\"timers\":", 1);
+    assert!(matches!(
+        EngineSnapshot::from_json(&v1),
+        Err(SnapshotError::SchemaMismatch { found: 1, .. })
+    ));
+    store.put(&key, v1.as_bytes()).unwrap();
+
+    let run = checkpointed_runner(&dir, 2_000).run(&grid).unwrap();
+    for (p, r) in plain.report.points.iter().zip(&run.report.points) {
+        assert_eq!(p.fixed, r.fixed, "a schema-v1 checkpoint must be refused");
+        assert_eq!(p.flexible, r.flexible);
+    }
+    // The recomputed leg finished and dropped its rolling checkpoint.
+    assert_eq!(store.get(&key).unwrap(), Lookup::Miss);
 }
 
 /// `--checkpoint-every` on the CLI: rejected without a store, accepted

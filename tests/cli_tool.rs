@@ -166,6 +166,50 @@ fn fig5_warm_cache_run_is_byte_identical() {
     assert_eq!(cold_json, warm_json, "warm JSON must byte-match the cold run");
 }
 
+/// `rr fig5 --trace-out` traces the point with the most simulated cycles
+/// (both legs, ties to the lower index), not the slowest by wall time, so
+/// two runs of the same command write byte-identical trace files.
+#[test]
+fn sweep_trace_out_is_byte_identical_across_runs() {
+    let json_path = tempfile::NamedFile::new("busiest.report.json").path.clone();
+    let sweep = |name: &str| {
+        let trace_path = tempfile::NamedFile::new(name).path.clone();
+        let out = rr()
+            .args(["fig5", "--file", "64", "--seed", "7", "--jobs", "1", "--no-store"])
+            .args(["--threads", "8", "--work", "2000", "--log-level", "info"])
+            .arg("--json")
+            .arg(&json_path)
+            .arg("--trace-out")
+            .arg(&trace_path)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let trace = std::fs::read(&trace_path).unwrap();
+        let _ = std::fs::remove_file(&trace_path);
+        (trace, String::from_utf8(out.stderr).unwrap())
+    };
+    let (first, first_log) = sweep("busiest-1.trace.json");
+    let (second, _) = sweep("busiest-2.trace.json");
+    assert!(!first.is_empty());
+    assert!(first == second, "the same sweep must write the same trace");
+
+    let report = register_relocation::sweep::SweepReport::from_json(
+        &std::fs::read_to_string(&json_path).unwrap(),
+    )
+    .unwrap();
+    let _ = std::fs::remove_file(&json_path);
+    let cycles = |p: &register_relocation::sweep::PointReport| {
+        p.fixed.total_cycles + p.flexible.total_cycles
+    };
+    let most = report.points.iter().map(cycles).max().unwrap();
+    let busiest = report.points.iter().find(|p| cycles(p) == most).unwrap();
+    let line = format!(
+        "tracing busiest point F={} R={} L={}",
+        busiest.file_size, busiest.run_length, busiest.latency
+    );
+    assert!(first_log.contains(&line), "expected `{line}` in {first_log}");
+}
+
 /// `rr trace` deep-dives one grid point: terminal summary on stdout, a
 /// parseable Chrome trace with events from both architectures, and a
 /// schema-versioned metrics record.
