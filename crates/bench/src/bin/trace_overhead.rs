@@ -1,7 +1,7 @@
 //! Measures the cost of event-stream observability: the same experiment
 //! run under the monomorphized [`NullSink`] (the production default, which
 //! must be free), a [`CountingSink`] (the cheapest possible live sink), and
-//! a [`RecordingSink`] (full capture — what `rr trace` uses).
+//! an [`EventLog`] (full, compact capture — what `rr trace` uses).
 //!
 //! The simulated statistics must be bit-identical across all three: a sink
 //! observes, it never perturbs.
@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use register_relocation::experiments::Arch;
-use rr_runtime::{CountingSink, EventSink, NullSink, RecordingSink, SchedCosts, UnloadPolicyKind};
+use rr_runtime::{CountingSink, EventLog, EventSink, NullSink, SchedCosts, UnloadPolicyKind};
 use rr_sim::{Engine, SimOptions, SimStats};
 use rr_workload::{ContextSizeDist, Dist, Workload, WorkloadBuilder};
 
@@ -55,6 +55,7 @@ fn main() {
     let mut record_times = Vec::new();
     let mut stats: Vec<SimStats> = Vec::new();
     let mut events_seen = 0u64;
+    let mut log_bytes = 0;
 
     for _ in 0..RUNS {
         let (t, s, _) = run_once(NullSink);
@@ -64,9 +65,10 @@ fn main() {
         count_times.push(t);
         events_seen = sink.count;
         stats.push(s);
-        let (t, s, sink) = run_once(RecordingSink::new());
+        let (t, s, log) = run_once(EventLog::new());
         record_times.push(t);
-        assert_eq!(sink.len() as u64, events_seen, "both live sinks see every event");
+        assert_eq!(log.len() as u64, events_seen, "both live sinks see every event");
+        log_bytes = log.encoded_bytes();
         stats.push(s);
     }
     let first = &stats[0];
@@ -81,6 +83,10 @@ fn main() {
     println!("{:<16}{:>12}{:>14}", "sink", "median ms", "vs NullSink");
     println!("{:<16}{:>12.2}{:>14}", "NullSink", null as f64 / 1e6, "--");
     println!("{:<16}{:>12.2}{:>13.1}%", "CountingSink", count as f64 / 1e6, pct(count));
-    println!("{:<16}{:>12.2}{:>13.1}%", "RecordingSink", record as f64 / 1e6, pct(record));
+    println!("{:<16}{:>12.2}{:>13.1}%", "EventLog", record as f64 / 1e6, pct(record));
+    println!(
+        "\nEventLog holds {log_bytes} bytes ({:.2} B/event)",
+        log_bytes as f64 / events_seen as f64
+    );
     println!("\nsimulated stats identical across all sinks: efficiency {:.4}", first.efficiency());
 }

@@ -301,6 +301,14 @@ fn run_suite_once(
                         name: "flexible_events".into(),
                         value: traced.flexible.events.len() as u64,
                     },
+                    Invariant {
+                        name: "fixed_log_bytes".into(),
+                        value: traced.fixed.events.encoded_bytes() as u64,
+                    },
+                    Invariant {
+                        name: "flexible_log_bytes".into(),
+                        value: traced.flexible.events.encoded_bytes() as u64,
+                    },
                 ],
             },
         ));

@@ -929,8 +929,8 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
     let outcome = diverge_point(&pair, &cfg)?;
     print_diverge_point(title, file_size, run_length, latency, &pair, &outcome);
     if let Some(path) = trace_out {
-        let ea = outcome.a.events.as_deref().ok_or("leg A events missing under --trace-out (bug)")?;
-        let eb = outcome.b.events.as_deref().ok_or("leg B events missing under --trace-out (bug)")?;
+        let ea = outcome.a.events.as_ref().ok_or("leg A events missing under --trace-out (bug)")?;
+        let eb = outcome.b.events.as_ref().ok_or("leg B events missing under --trace-out (bug)")?;
         let legs = [(1, pair.arch_a.label(), ea), (2, pair.arch_b.label(), eb)];
         write_trace_file(&path, |out| write_chrome_trace(out, &legs))?;
         info!("diverge", "wrote dual-leg Chrome trace to {path} (load in https://ui.perfetto.dev)");

@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rr_runtime::{event_diff, RecordingSink};
+use rr_runtime::event_diff;
 use rr_sim::{compare_legs, DivergeConfig, DivergeOutcome};
 use rr_store::{Lookup, Store, StoreError};
 use rr_telemetry::{warn, METRICS};
@@ -62,8 +62,8 @@ impl DivergePair {
 /// error, never a report).
 pub fn diverge_point(pair: &DivergePair, cfg: &DivergeConfig) -> Result<DivergeOutcome, String> {
     let timer = METRICS.spans.diverge_compare.start();
-    let a = pair.spec_a().engine_with_sink(RecordingSink::new())?;
-    let b = pair.spec_b().engine_with_sink(RecordingSink::new())?;
+    let a = pair.spec_a().engine_with_sink(Vec::new())?;
+    let b = pair.spec_b().engine_with_sink(Vec::new())?;
     let outcome = compare_legs(a, b, (pair.arch_a.label(), pair.arch_b.label()), cfg)?;
     drop(timer);
     Ok(outcome)

@@ -20,7 +20,7 @@ use rr_alloc::{
     AllocCosts, AnyAllocator, BitmapAllocator, FirstFitAllocator, FixedSlots,
     LookupAllocator,
 };
-use rr_runtime::{Event, EventSink, NullSink, RecordingSink, SchedCosts, UnloadPolicyKind};
+use rr_runtime::{EventLog, EventSink, NullSink, SchedCosts, UnloadPolicyKind};
 use rr_sim::{Engine, SimOptions, SimStats, TracedRun};
 use rr_workload::{ContextSizeDist, Dist, WorkloadBuilder};
 
@@ -235,16 +235,15 @@ impl ExperimentSpec {
 
     /// Runs the experiment with full event recording: every state
     /// transition of the run comes back as a cycle-stamped
-    /// [`rr_runtime::Event`], alongside the usual [`SimStats`]. The stats
-    /// are bit-identical to [`ExperimentSpec::run`]'s — the recording sink
-    /// only observes, never perturbs.
+    /// [`rr_runtime::Event`] in a compact [`EventLog`], alongside the usual
+    /// [`SimStats`]. The stats are bit-identical to [`ExperimentSpec::run`]'s
+    /// — the log only observes, never perturbs.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ExperimentSpec::run`].
-    pub fn run_with_events(&self) -> Result<(SimStats, Vec<Event>), String> {
-        let (stats, sink) = self.engine_with_sink(RecordingSink::new())?.run_with_sink();
-        Ok((stats, sink.into_events()))
+    pub fn run_with_events(&self) -> Result<(SimStats, EventLog), String> {
+        Ok(self.engine_with_sink(EventLog::new())?.run_with_sink())
     }
 
     /// Builds the fully configured engine for this spec. Everything the run
@@ -539,7 +538,7 @@ mod tests {
         let (recorded, events) = spec.run_with_events().unwrap();
         assert_eq!(plain, recorded, "recording sink must only observe");
         assert!(!events.is_empty());
-        assert!(matches!(events.first().unwrap().kind, rr_runtime::EventKind::RunStart { .. }));
+        assert!(matches!(events.iter().next().unwrap().kind, rr_runtime::EventKind::RunStart { .. }));
         assert!(matches!(events.last().unwrap().kind, rr_runtime::EventKind::RunEnd { .. }));
     }
 

@@ -19,7 +19,7 @@ use std::io::{self, Write};
 
 use serde::{Deserialize, Serialize};
 
-use rr_runtime::Event;
+use rr_runtime::EventLog;
 use rr_sim::{EventAccountant, MetricsReport, SimStats};
 use rr_store::{Store, StoreError};
 
@@ -41,7 +41,7 @@ pub struct TracedArchRun {
     /// The engine's own statistics.
     pub stats: SimStats,
     /// Every cycle-stamped event the run emitted.
-    pub events: Vec<Event>,
+    pub events: EventLog,
     /// Windowed metrics folded from the stream.
     pub metrics: MetricsReport,
 }
@@ -113,7 +113,7 @@ impl TracedPoint {
         write_chrome_trace(out, &self.processes())
     }
 
-    fn processes(&self) -> [(u32, &str, &[Event]); 2] {
+    fn processes(&self) -> [(u32, &str, &EventLog); 2] {
         [
             (1, self.fixed.arch.label(), &self.fixed.events),
             (2, self.flexible.arch.label(), &self.flexible.events),

@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
-use rr_runtime::{Event, EventKind};
+use rr_runtime::{EventKind, EventLog};
 use rr_telemetry::trace::{into_string, TraceWriter};
 
 /// Offset separating context-track ids from thread-track ids within a
@@ -93,7 +93,7 @@ fn emit_process<W: Write>(
     tw: &mut TraceWriter<W>,
     pid: u32,
     name: &str,
-    events: &[Event],
+    events: &EventLog,
 ) -> io::Result<()> {
     tw.meta(pid, 0, "process_name", name)?;
     tw.meta(pid, 0, "thread_name", "scheduler")?;
@@ -166,7 +166,10 @@ fn emit_process<W: Write>(
 /// # Errors
 ///
 /// `out`'s write error.
-pub fn write_chrome_trace<W: Write>(out: W, processes: &[(u32, &str, &[Event])]) -> io::Result<W> {
+pub fn write_chrome_trace<W: Write>(
+    out: W,
+    processes: &[(u32, &str, &EventLog)],
+) -> io::Result<W> {
     let mut tw = TraceWriter::new(out)?;
     for &(pid, name, events) in processes {
         emit_process(&mut tw, pid, name, events)?;
@@ -175,7 +178,7 @@ pub fn write_chrome_trace<W: Write>(out: W, processes: &[(u32, &str, &[Event])])
 }
 
 /// [`write_chrome_trace`] into memory.
-pub fn chrome_trace_json(processes: &[(u32, &str, &[Event])]) -> String {
+pub fn chrome_trace_json(processes: &[(u32, &str, &EventLog)]) -> String {
     into_string(write_chrome_trace(Vec::new(), processes))
         .expect("a Vec sink cannot fail and every residency slice is closed")
 }
@@ -183,9 +186,13 @@ pub fn chrome_trace_json(processes: &[(u32, &str, &[Event])]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rr_runtime::CostBucket;
+    use rr_runtime::{CostBucket, Event};
 
-    fn sample_events() -> Vec<Event> {
+    fn sample_events() -> EventLog {
+        sample_vec().into_iter().collect()
+    }
+
+    fn sample_vec() -> Vec<Event> {
         vec![
             Event {
                 cycle: 0,
@@ -263,13 +270,13 @@ mod tests {
     #[test]
     fn context_closes_at_horizon_if_still_resident() {
         // Drop the completion so the context is still resident at RunEnd.
-        let mut resident = sample_events();
+        let mut resident = sample_vec();
         resident.retain(|e| !matches!(e.kind, EventKind::ThreadComplete { .. }));
         // A stream cut before its RunEnd closes at its last event.
         let mut cut = resident.clone();
         cut.pop();
         // A stream cut before the load: its unload has nothing to close.
-        let mut headless = sample_events();
+        let mut headless = sample_vec();
         headless.retain(|e| !matches!(e.kind, EventKind::ContextLoad { .. }));
         headless.insert(
             5,
@@ -279,7 +286,7 @@ mod tests {
             },
         );
         for (events, pairs, closed_at) in [(resident, 1, 140), (cut, 1, 40), (headless, 0, 0)] {
-            let doc = chrome_trace_json(&[(1, "flexible", &events)]);
+            let doc = chrome_trace_json(&[(1, "flexible", &events.into_iter().collect())]);
             serde_json::from_str::<serde::Value>(&doc).unwrap();
             assert_eq!(doc.matches("\"ph\":\"B\"").count(), pairs, "{doc}");
             assert_eq!(doc.matches("\"ph\":\"E\"").count(), pairs, "every B has an E: {doc}");

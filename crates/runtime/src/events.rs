@@ -288,56 +288,13 @@ impl EventSink for NullSink {
     fn emit(&mut self, _event: Event) {}
 }
 
-/// Records every event in memory, in emission order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecordingSink {
-    events: Vec<Event>,
-}
-
-impl RecordingSink {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The events recorded so far.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Consumes the recorder, yielding its events.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Removes and returns the first `n` recorded events, keeping the rest
-    /// in order. Lets a long-running consumer (the divergence comparator's
-    /// lockstep scan) bound its memory to one comparison window: once a
-    /// prefix has been compared equal on both legs it carries no further
-    /// information and can be dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the number of recorded events.
-    pub fn drain_prefix(&mut self, n: usize) -> Vec<Event> {
-        assert!(n <= self.events.len(), "drain_prefix({n}) of {} events", self.events.len());
-        self.events.drain(..n).collect()
-    }
-}
-
-impl EventSink for RecordingSink {
+/// Collects events into a plain vector. Meant for *bounded* buffers — the
+/// divergence comparator's lockstep window, short test streams; a whole run
+/// belongs in an [`EventLog`](crate::EventLog), which holds the same events
+/// in a tenth of the memory.
+impl EventSink for Vec<Event> {
     fn emit(&mut self, event: Event) {
-        self.events.push(event);
+        self.push(event);
     }
 }
 
@@ -367,30 +324,14 @@ mod tests {
     }
 
     #[test]
-    fn recording_sink_keeps_order() {
-        let mut s = RecordingSink::new();
+    fn vec_sink_keeps_order() {
+        let mut s: Vec<Event> = Vec::new();
         assert!(s.enabled());
-        assert!(s.is_empty());
         for c in 0..3 {
             s.emit(Event { cycle: c, kind: EventKind::ThreadSpawn { thread: c as usize } });
         }
-        assert_eq!(s.len(), 3);
-        let cycles: Vec<u64> = s.events().iter().map(|e| e.cycle).collect();
+        let cycles: Vec<u64> = s.iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![0, 1, 2]);
-        assert_eq!(s.into_events().len(), 3);
-    }
-
-    #[test]
-    fn drain_prefix_removes_in_order_and_keeps_the_tail() {
-        let mut s = RecordingSink::new();
-        for c in 0..5 {
-            s.emit(Event { cycle: c, kind: EventKind::ThreadSpawn { thread: c as usize } });
-        }
-        let head = s.drain_prefix(3);
-        assert_eq!(head.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(s.events().iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![3, 4]);
-        assert!(s.drain_prefix(0).is_empty());
-        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -405,7 +346,7 @@ mod tests {
     #[test]
     fn sink_trait_is_object_safe() {
         // The executive may hold a boxed sink; keep that possible.
-        let mut boxed: Box<dyn EventSink> = Box::new(RecordingSink::new());
+        let mut boxed: Box<dyn EventSink> = Box::new(Vec::<Event>::new());
         assert!(boxed.enabled());
         boxed.emit(Event { cycle: 1, kind: EventKind::IdleEnd });
     }

@@ -750,9 +750,7 @@ mod tests {
 
     #[test]
     fn traced_executive_emits_measured_os_events() {
-        use crate::events::RecordingSink;
-
-        let mut exec = Executive::boot_with_sink(RecordingSink::new()).unwrap();
+        let mut exec = Executive::boot_with_sink(Vec::<Event>::new()).unwrap();
         let body = Executive::standard_body(1).unwrap();
         exec.install_body(&body).unwrap();
         let entry = body.label("entry").unwrap();
@@ -764,7 +762,7 @@ mod tests {
         exec.retire(victim).unwrap();
 
         let os_cycles = exec.os_cycles();
-        let events = exec.into_sink().into_events();
+        let events = exec.into_sink();
         // Stamps never decrease.
         assert!(events.windows(2).all(|w| w[0].cycle <= w[1].cycle));
         // Every OS cycle is covered by exactly the emitted OsCall durations.

@@ -21,6 +21,7 @@
 pub mod alloc_asm;
 pub mod costs;
 pub mod event_diff;
+pub mod event_log;
 pub mod events;
 pub mod executive;
 pub mod loader_asm;
@@ -29,9 +30,8 @@ pub mod ready_ring;
 pub mod switch_code;
 
 pub use costs::SchedCosts;
-pub use events::{
-    CostBucket, CountingSink, Event, EventKind, EventSink, NullSink, OsRoutine, RecordingSink,
-};
+pub use event_log::EventLog;
+pub use events::{CostBucket, CountingSink, Event, EventKind, EventSink, NullSink, OsRoutine};
 pub use executive::{
     ExecError, Executive, ExecutiveSnapshot, Tcb, EXEC_SNAPSHOT_SCHEMA_VERSION,
 };

@@ -19,7 +19,7 @@
 //! without charging) breaks the comparison immediately, which is what makes
 //! the event layer trustworthy enough to build exporters and metrics on.
 
-use rr_runtime::{CostBucket, Event, EventKind};
+use rr_runtime::{CostBucket, Event, EventKind, EventLog};
 
 use crate::stats::{decimate_checkpoints, SimStats};
 
@@ -29,7 +29,7 @@ use crate::stats::{decimate_checkpoints, SimStats};
 ///
 /// ```
 /// use rr_sim::{Engine, EventAccountant, SimOptions};
-/// use rr_runtime::{RecordingSink, SchedCosts, UnloadPolicyKind};
+/// use rr_runtime::{EventLog, SchedCosts, UnloadPolicyKind};
 /// use rr_alloc::BitmapAllocator;
 /// use rr_workload::WorkloadBuilder;
 ///
@@ -40,10 +40,10 @@ use crate::stats::{decimate_checkpoints, SimStats};
 ///     UnloadPolicyKind::Never,
 ///     workload,
 ///     SimOptions::default(),
-///     RecordingSink::new(),
+///     EventLog::new(),
 /// )?;
-/// let (stats, sink) = engine.run_with_sink();
-/// let derived = EventAccountant::replay(sink.events())?;
+/// let (stats, log) = engine.run_with_sink();
+/// let derived = EventAccountant::replay(&log)?;
 /// assert_eq!(derived, stats);
 /// # Ok::<(), String>(())
 /// ```
@@ -74,10 +74,10 @@ impl EventAccountant {
     ///
     /// The first accounting violation, as a human-readable description
     /// naming the offending cycle.
-    pub fn replay(events: &[Event]) -> Result<SimStats, String> {
+    pub fn replay(events: &EventLog) -> Result<SimStats, String> {
         let mut acct = EventAccountant::new();
         for e in events {
-            acct.ingest(e)?;
+            acct.ingest(&e)?;
         }
         acct.finish()
     }
@@ -234,13 +234,13 @@ impl EventAccountant {
 mod tests {
     use super::*;
     use rr_alloc::BitmapAllocator;
-    use rr_runtime::{RecordingSink, SchedCosts, UnloadPolicyKind};
+    use rr_runtime::{SchedCosts, UnloadPolicyKind};
     use rr_workload::{ContextSizeDist, Dist, WorkloadBuilder};
 
     use crate::engine::Engine;
     use crate::options::SimOptions;
 
-    fn traced_run(threads: usize, policy: UnloadPolicyKind) -> (SimStats, Vec<Event>) {
+    fn traced_run(threads: usize, policy: UnloadPolicyKind) -> (SimStats, EventLog) {
         let w = WorkloadBuilder::new()
             .threads(threads)
             .run_length(Dist::Geometric { mean: 16.0 })
@@ -260,9 +260,8 @@ mod tests {
             _ => SimOptions::sync_experiments(),
         };
         let engine =
-            Engine::with_sink(alloc, sched, policy, w, opts, RecordingSink::new()).unwrap();
-        let (stats, sink) = engine.run_with_sink();
-        (stats, sink.into_events())
+            Engine::with_sink(alloc, sched, policy, w, opts, EventLog::new()).unwrap();
+        engine.run_with_sink()
     }
 
     #[test]
@@ -280,13 +279,14 @@ mod tests {
     fn stream_brackets_are_enforced() {
         let (_, events) = traced_run(4, UnloadPolicyKind::Never);
         // Missing RunStart.
-        let err = EventAccountant::replay(&events[1..]).unwrap_err();
+        let err = EventAccountant::replay(&events.iter().skip(1).collect()).unwrap_err();
         assert!(err.contains("before RunStart"), "{err}");
         // Missing RunEnd.
-        let err = EventAccountant::replay(&events[..events.len() - 1]).unwrap_err();
+        let headless = events.iter().take(events.len() - 1).collect();
+        let err = EventAccountant::replay(&headless).unwrap_err();
         assert!(err.contains("no RunEnd"), "{err}");
         // Empty stream.
-        let err = EventAccountant::replay(&[]).unwrap_err();
+        let err = EventAccountant::replay(&EventLog::new()).unwrap_err();
         assert!(err.contains("no RunStart"), "{err}");
     }
 
@@ -297,8 +297,8 @@ mod tests {
             .iter()
             .position(|e| matches!(e.kind, EventKind::Charge { cycles, .. } if cycles > 0))
             .unwrap();
-        let mut broken = events.clone();
-        broken.remove(victim);
+        let broken =
+            events.iter().enumerate().filter(|&(i, _)| i != victim).map(|(_, e)| e).collect();
         let err = EventAccountant::replay(&broken).unwrap_err();
         assert!(
             err.contains("unaccounted cycle") || err.contains("charges sum"),
@@ -308,7 +308,8 @@ mod tests {
 
     #[test]
     fn a_forged_total_is_caught_at_run_end() {
-        let (_, mut events) = traced_run(4, UnloadPolicyKind::Never);
+        let (_, log) = traced_run(4, UnloadPolicyKind::Never);
+        let mut events: Vec<Event> = log.iter().collect();
         let last = events.len() - 1;
         if let EventKind::RunEnd { total_cycles, supply_drained_at } = events[last].kind {
             events[last].kind = EventKind::RunEnd {
@@ -318,7 +319,7 @@ mod tests {
         } else {
             panic!("stream must end with RunEnd");
         }
-        let err = EventAccountant::replay(&events).unwrap_err();
+        let err = EventAccountant::replay(&events.into_iter().collect()).unwrap_err();
         assert!(err.contains("charges sum"), "{err}");
     }
 
@@ -344,22 +345,21 @@ mod tests {
             UnloadPolicyKind::Never,
             w,
             opts,
-            RecordingSink::new(),
+            EventLog::new(),
         )
         .unwrap();
         assert!(engine.advance(u64::MAX), "runs to completion");
         // The in-run reservoir, before `finish` trims it.
         let reservoir = engine.snapshot().stats.checkpoints;
-        let (stats, sink) = engine.finish();
+        let (stats, log) = engine.finish();
         assert!(reservoir.len() > 2 && reservoir.len() < 16, "cap respected: {}", reservoir.len());
 
-        let (run_end, events) = sink.events().split_last().unwrap();
         let mut acct = EventAccountant::new();
-        for e in events {
-            acct.ingest(e).unwrap();
+        for e in log.iter().take(log.len() - 1) {
+            acct.ingest(&e).unwrap();
         }
         assert_eq!(acct.stats.checkpoints, reservoir, "replayed reservoir");
-        acct.ingest(run_end).unwrap();
+        acct.ingest(&log.last().unwrap()).unwrap();
         let derived = acct.finish().unwrap();
 
         let mut trimmed = SimStats { checkpoints: reservoir, ..stats.clone() };

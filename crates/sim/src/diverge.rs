@@ -9,8 +9,8 @@
 //!
 //! # Protocol
 //!
-//! Both legs are [`Engine`]s over a [`RecordingSink`], stepped
-//! checkpoint-to-checkpoint with [`Engine::advance`]:
+//! Both legs are [`Engine`]s whose sink is a plain `Vec<Event>` window
+//! buffer, stepped checkpoint-to-checkpoint with [`Engine::advance`]:
 //!
 //! 1. **Lockstep scan.** Advance both legs one window at a time. A pause
 //!    lands on the first scheduling boundary *at or after* the requested
@@ -18,8 +18,9 @@
 //!    stamped strictly below the earlier clock (the *horizon*) are final on
 //!    both sides. At each boundary the finalized prefixes are compared
 //!    (`rr_runtime::event_diff`); equal prefixes are drained from the
-//!    sinks, so scan memory stays bounded by one window regardless of run
-//!    length. Clean boundaries snapshot both engines; the uncompared
+//!    buffers in place (into an [`EventLog`] under
+//!    [`DivergeConfig::keep_events`]), so scan memory stays bounded by one
+//!    window regardless of run length. Clean boundaries snapshot both engines; the uncompared
 //!    holdover events (between the horizon and each leg's clock) ride
 //!    along with the snapshots to keep later comparisons aligned.
 //! 2. **Bisection.** When a window's prefixes differ, the first divergent
@@ -44,7 +45,7 @@
 //! property-tested.
 
 use rr_runtime::event_diff::{self, Mismatch};
-use rr_runtime::{Event, RecordingSink};
+use rr_runtime::{Event, EventLog};
 use serde::{Deserialize, Serialize};
 
 use rr_alloc::ContextAllocator;
@@ -62,9 +63,9 @@ pub struct DivergeConfig {
     pub window: u64,
     /// Events of context kept on each side of the divergent event.
     pub context: usize,
-    /// Keep both legs' complete event streams (for trace export). Off by
-    /// default: the scan then drains compared prefixes and memory stays
-    /// bounded by one window.
+    /// Keep both legs' complete event streams (for trace export), as
+    /// compact [`EventLog`]s. Off by default: the scan then discards
+    /// compared prefixes and memory stays bounded by one window.
     pub keep_events: bool,
 }
 
@@ -84,7 +85,7 @@ pub struct LegReport {
     pub stats: SimStats,
     /// The full event stream, present only under
     /// [`DivergeConfig::keep_events`].
-    pub events: Option<Vec<Event>>,
+    pub events: Option<EventLog>,
 }
 
 /// One differing field of the two engines' states at the divergence.
@@ -148,27 +149,44 @@ pub struct DivergeOutcome {
     pub events_compared: u64,
 }
 
-/// One leg's scan-side bookkeeping: the engine, its completion flag, and
-/// the cursor separating compared from uncompared sink events.
+/// One leg's scan-side bookkeeping: the engine, whose sink buffers the
+/// leg's uncompared events, its completion flag, and the compared prefix
+/// when the caller keeps whole streams.
 struct Leg {
-    engine: Engine<RecordingSink>,
+    engine: Engine<Vec<Event>>,
     done: bool,
-    /// Sink index of the first uncompared event (always 0 when draining).
-    off: usize,
+    /// Every compared event, under [`DivergeConfig::keep_events`] only.
+    kept: Option<EventLog>,
 }
 
 impl Leg {
-    fn uncompared(&self) -> &[Event] {
-        &self.engine.sink().events()[self.off..]
+    fn new(engine: Engine<Vec<Event>>, cfg: &DivergeConfig) -> Leg {
+        Leg { engine, done: false, kept: cfg.keep_events.then(EventLog::new) }
     }
 
-    /// Advances past (or drains) `n` freshly compared events.
-    fn consume(&mut self, n: usize, keep: bool) {
-        if keep {
-            self.off += n;
-        } else {
-            self.engine.sink_mut().drain_prefix(n);
+    fn uncompared(&self) -> &[Event] {
+        self.engine.sink()
+    }
+
+    /// Removes `n` freshly compared events from the front of the buffer,
+    /// in place, moving them into the kept log if there is one.
+    fn consume(&mut self, n: usize) {
+        let compared = self.engine.sink_mut().drain(..n);
+        if let Some(log) = &mut self.kept {
+            log.extend(compared);
         }
+    }
+
+    /// Finishes a leg whose events have all been compared: its statistics,
+    /// its closing `RunEnd`, and the kept stream completed with it.
+    fn finish(self) -> (SimStats, Option<Event>, Option<EventLog>) {
+        let (stats, tail) = self.engine.finish();
+        let end = tail.last().copied();
+        let kept = self.kept.map(|mut log| {
+            log.extend(tail);
+            log
+        });
+        (stats, end, kept)
     }
 }
 
@@ -197,16 +215,16 @@ struct Bracket {
 /// hard error, never a report — a restored re-run that fails to reproduce
 /// the scan's divergence (broken replay determinism).
 pub fn compare_legs(
-    a: Engine<RecordingSink>,
-    b: Engine<RecordingSink>,
+    a: Engine<Vec<Event>>,
+    b: Engine<Vec<Event>>,
     labels: (&str, &str),
     cfg: &DivergeConfig,
 ) -> Result<DivergeOutcome, String> {
     if cfg.window == 0 {
         return Err("diverge window must be >= 1 cycle".to_string());
     }
-    let mut a = Leg { engine: a, done: false, off: 0 };
-    let mut b = Leg { engine: b, done: false, off: 0 };
+    let mut a = Leg::new(a, cfg);
+    let mut b = Leg::new(b, cfg);
     let mut bracket = Bracket {
         snap_a: a.engine.snapshot(),
         snap_b: b.engine.snapshot(),
@@ -241,8 +259,8 @@ pub fn compare_legs(
         let n = event_diff::finalized_len(a.uncompared(), horizon);
         debug_assert_eq!(n, event_diff::finalized_len(b.uncompared(), horizon));
         compared += n as u64;
-        a.consume(n, cfg.keep_events);
-        b.consume(n, cfg.keep_events);
+        a.consume(n);
+        b.consume(n);
         if a.done && b.done {
             break;
         }
@@ -264,12 +282,8 @@ pub fn compare_legs(
         None => {
             // Streams identical through the last event; the totals must
             // agree too. `finish` appends each leg's RunEnd.
-            let (stats_a, sink_a) = a.engine.finish();
-            let (stats_b, sink_b) = b.engine.finish();
-            let events_a = sink_a.into_events();
-            let events_b = sink_b.into_events();
-            let end_a = events_a.last().copied();
-            let end_b = events_b.last().copied();
+            let (stats_a, end_a, events_a) = a.finish();
+            let (stats_b, end_b, events_b) = b.finish();
             let divergence = if end_a == end_b {
                 compared += 1; // the matching RunEnd pair
                 None
@@ -284,8 +298,8 @@ pub fn compare_legs(
                 ))
             };
             Ok(DivergeOutcome {
-                a: leg_report(labels.0, stats_a, events_a, cfg),
-                b: leg_report(labels.1, stats_b, events_b, cfg),
+                a: leg_report(labels.0, stats_a, events_a),
+                b: leg_report(labels.1, stats_b, events_b),
                 divergence,
                 windows_scanned: windows,
                 events_compared: compared,
@@ -297,13 +311,13 @@ pub fn compare_legs(
             let (divergence, steps) =
                 bisect(&bracket, mismatch_horizon, &scan_m, event_index, window_bounds, cfg)?;
             // Run both legs out for their final totals. Comparison is
-            // over; drain as we go unless the caller wants full streams.
-            let (stats_a, events_a) = run_out(a, cfg);
-            let (stats_b, events_b) = run_out(b, cfg);
+            // over, so only a caller keeping full streams records them.
+            let (stats_a, events_a) = run_out(a)?;
+            let (stats_b, events_b) = run_out(b)?;
             let _ = steps;
             Ok(DivergeOutcome {
-                a: leg_report(labels.0, stats_a, events_a, cfg),
-                b: leg_report(labels.1, stats_b, events_b, cfg),
+                a: leg_report(labels.0, stats_a, events_a),
+                b: leg_report(labels.1, stats_b, events_b),
                 divergence: Some(divergence),
                 windows_scanned: windows,
                 events_compared: compared,
@@ -323,44 +337,46 @@ fn scan_horizon(a: &Leg, b: &Leg) -> u64 {
     }
 }
 
-fn leg_report(
-    label: &str,
-    stats: SimStats,
-    events: Vec<Event>,
-    cfg: &DivergeConfig,
-) -> LegReport {
-    LegReport {
-        label: label.to_string(),
-        stats,
-        events: if cfg.keep_events { Some(events) } else { None },
-    }
+fn leg_report(label: &str, stats: SimStats, events: Option<EventLog>) -> LegReport {
+    LegReport { label: label.to_string(), stats, events }
 }
 
-/// Finishes a leg whose comparison is over, draining periodically so the
-/// remaining run does not accumulate events nobody will read.
-fn run_out(mut leg: Leg, cfg: &DivergeConfig) -> (SimStats, Vec<Event>) {
-    while !leg.done {
-        let pause = leg.engine.now().saturating_add(RUN_OUT_STRIDE);
-        leg.done = leg.engine.advance(pause);
-        if !cfg.keep_events {
-            let n = leg.engine.sink().len();
-            leg.engine.sink_mut().drain_prefix(n);
+/// Finishes a leg whose comparison is over. A kept stream records the
+/// rest of the run, a stride at a time so the buffer stays small. Without
+/// one, the leg finishes on an engine restored from its snapshot with no
+/// sink at all — restore is bit-identical to running on, and nothing is
+/// emitted that nobody would read.
+fn run_out(leg: Leg) -> Result<(SimStats, Option<EventLog>), String> {
+    let Leg { mut engine, mut done, kept } = leg;
+    match kept {
+        Some(mut log) => {
+            while !done {
+                done = engine.advance(engine.now().saturating_add(RUN_OUT_STRIDE));
+                log.extend(engine.sink_mut().drain(..));
+            }
+            let (stats, tail) = engine.finish();
+            log.extend(tail);
+            Ok((stats, Some(log)))
+        }
+        None if done => Ok((engine.finish().0, None)),
+        None => {
+            let mut plain = Engine::restore(&engine.snapshot())
+                .map_err(|e| format!("diverge cannot restore a leg to finish it: {e}"))?;
+            drop(engine);
+            plain.advance(u64::MAX);
+            Ok((plain.finish().0, None))
         }
     }
-    let (stats, sink) = leg.engine.finish();
-    (stats, sink.into_events())
 }
 
-/// Cycle stride used to run a diverged leg out to completion.
+/// Cycle stride used to record a diverged leg's kept stream to completion.
 const RUN_OUT_STRIDE: u64 = 1 << 20;
 
-/// Restores both legs of a bracket with fresh recording sinks.
-fn restore_pair(
-    bracket: &Bracket,
-) -> Result<(Engine<RecordingSink>, Engine<RecordingSink>), String> {
-    let a = Engine::restore_with_sink(&bracket.snap_a, RecordingSink::new())
+/// Restores both legs of a bracket with fresh event buffers.
+fn restore_pair(bracket: &Bracket) -> Result<(Engine<Vec<Event>>, Engine<Vec<Event>>), String> {
+    let a = Engine::restore_with_sink(&bracket.snap_a, Vec::new())
         .map_err(|e| format!("diverge bisection cannot restore leg A: {e}"))?;
-    let b = Engine::restore_with_sink(&bracket.snap_b, RecordingSink::new())
+    let b = Engine::restore_with_sink(&bracket.snap_b, Vec::new())
         .map_err(|e| format!("diverge bisection cannot restore leg B: {e}"))?;
     Ok((a, b))
 }
@@ -399,8 +415,8 @@ fn bisect(
         let done_b = rb.advance(mid);
         steps += 1;
         let horizon = probe_horizon(done_a, done_b, &ra, &rb);
-        let full_a = aligned(&bracket.hold_a, ra.sink().events());
-        let full_b = aligned(&bracket.hold_b, rb.sink().events());
+        let full_a = aligned(&bracket.hold_a, ra.sink());
+        let full_b = aligned(&bracket.hold_b, rb.sink());
         match event_diff::first_divergence(&full_a, &full_b, horizon) {
             Some(m) => {
                 let cut = m.cycle().saturating_add(1);
@@ -452,8 +468,8 @@ fn bisect(
             done_b = fb.advance(pause);
         }
         let horizon = probe_horizon(done_a, done_b, &fa, &fb);
-        let full_a = aligned(&bracket.hold_a, fa.sink().events());
-        let full_b = aligned(&bracket.hold_b, fb.sink().events());
+        let full_a = aligned(&bracket.hold_a, fa.sink());
+        let full_b = aligned(&bracket.hold_b, fb.sink());
         if let Some(m) = event_diff::first_divergence(&full_a, &full_b, horizon) {
             // One extra window on each side for trailing context.
             if !done_a {
@@ -482,10 +498,10 @@ fn bisect(
     }
 
     let cycle = final_m.cycle();
-    let full_a = aligned(&bracket.hold_a, fa.sink().events());
-    let full_b = aligned(&bracket.hold_b, fb.sink().events());
-    let cost_a = cost_at(&bracket.snap_a, &bracket.hold_a, fa.sink().events(), cycle);
-    let cost_b = cost_at(&bracket.snap_b, &bracket.hold_b, fb.sink().events(), cycle);
+    let full_a = aligned(&bracket.hold_a, fa.sink());
+    let full_b = aligned(&bracket.hold_b, fb.sink());
+    let cost_a = cost_at(&bracket.snap_a, &bracket.hold_a, fa.sink(), cycle);
+    let cost_b = cost_at(&bracket.snap_b, &bracket.hold_b, fb.sink(), cycle);
     let state = state_at_divergence(&bracket, cycle)?;
     let divergence = Divergence {
         cycle,
@@ -507,8 +523,8 @@ fn bisect(
 fn probe_horizon(
     done_a: bool,
     done_b: bool,
-    a: &Engine<RecordingSink>,
-    b: &Engine<RecordingSink>,
+    a: &Engine<Vec<Event>>,
+    b: &Engine<Vec<Event>>,
 ) -> u64 {
     match (done_a, done_b) {
         (true, true) => u64::MAX,
@@ -642,7 +658,7 @@ mod tests {
 
     use crate::options::SimOptions;
 
-    fn engine(file_size: u32, seed: u64) -> Engine<RecordingSink> {
+    fn engine(file_size: u32, seed: u64) -> Engine<Vec<Event>> {
         let workload = WorkloadBuilder::new()
             .threads(24)
             .run_length(Dist::Geometric { mean: 16.0 })
@@ -658,7 +674,7 @@ mod tests {
             UnloadPolicyKind::Never,
             workload,
             SimOptions::cache_experiments(),
-            RecordingSink::new(),
+            Vec::new(),
         )
         .unwrap()
     }
@@ -718,7 +734,7 @@ mod tests {
         assert!(drained.a.events.is_none(), "drain mode retains nothing");
         // The kept stream really is the whole history: it starts at the
         // RunStart and ends at the RunEnd.
-        assert!(matches!(events.first().unwrap().kind, rr_runtime::EventKind::RunStart { .. }));
+        assert!(matches!(events.iter().next().unwrap().kind, rr_runtime::EventKind::RunStart { .. }));
         assert!(matches!(events.last().unwrap().kind, rr_runtime::EventKind::RunEnd { .. }));
     }
 

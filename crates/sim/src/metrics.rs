@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rr_runtime::{CostBucket, Event, EventKind};
+use rr_runtime::{CostBucket, Event, EventKind, EventLog};
 
 /// A power-of-two-bucketed histogram of `u64` samples.
 ///
@@ -201,24 +201,22 @@ impl MetricsReport {
     /// Builds a report from a run's events. `window` fixes the window width
     /// in cycles; `None` picks `total/64` rounded up to a power of two (at
     /// least 1024), giving roughly 64 windows on any horizon.
-    pub fn from_events(events: &[Event], window: Option<u64>) -> Self {
-        let total_cycles = events
-            .iter()
-            .rev()
-            .find_map(|e| match e.kind {
-                EventKind::RunEnd { total_cycles, .. } => Some(total_cycles),
-                _ => None,
-            })
-            .unwrap_or_else(|| {
-                events
-                    .iter()
-                    .map(|e| match e.kind {
-                        EventKind::Charge { cycles, .. } => e.cycle + cycles,
-                        _ => e.cycle,
-                    })
-                    .max()
-                    .unwrap_or(0)
-            });
+    pub fn from_events(events: &EventLog, window: Option<u64>) -> Self {
+        let total_cycles = match events.last() {
+            Some(Event { kind: EventKind::RunEnd { total_cycles, .. }, .. }) => total_cycles,
+            // A stream cut short: its last RunEnd, else its latest end.
+            _ => {
+                let (mut run_end, mut horizon) = (None, 0);
+                for e in events {
+                    match e.kind {
+                        EventKind::RunEnd { total_cycles, .. } => run_end = Some(total_cycles),
+                        EventKind::Charge { cycles, .. } => horizon = horizon.max(e.cycle + cycles),
+                        _ => horizon = horizon.max(e.cycle),
+                    }
+                }
+                run_end.unwrap_or(horizon)
+            }
+        };
         let window =
             window.unwrap_or_else(|| (total_cycles / 64).next_power_of_two().max(1024));
         let mut report = MetricsReport {
@@ -298,7 +296,7 @@ impl MetricsReport {
 mod tests {
     use super::*;
     use rr_alloc::BitmapAllocator;
-    use rr_runtime::{RecordingSink, SchedCosts, UnloadPolicyKind};
+    use rr_runtime::{SchedCosts, UnloadPolicyKind};
     use rr_workload::{ContextSizeDist, Dist, WorkloadBuilder};
 
     use crate::engine::Engine;
@@ -339,7 +337,7 @@ mod tests {
         assert_eq!(LogHistogram::new().min(), None);
     }
 
-    fn traced(threads: usize) -> (SimStats, Vec<Event>) {
+    fn traced(threads: usize) -> (SimStats, EventLog) {
         let w = WorkloadBuilder::new()
             .threads(threads)
             .run_length(Dist::Geometric { mean: 16.0 })
@@ -355,11 +353,10 @@ mod tests {
             UnloadPolicyKind::Never,
             w,
             SimOptions::cache_experiments(),
-            RecordingSink::new(),
+            EventLog::new(),
         )
         .unwrap();
-        let (stats, sink) = engine.run_with_sink();
-        (stats, sink.into_events())
+        engine.run_with_sink()
     }
 
     #[test]
@@ -403,7 +400,7 @@ mod tests {
     fn charges_split_across_boundaries() {
         // A synthetic stream: one 100-cycle busy charge spanning a 64-cycle
         // window boundary with 3 residents.
-        let events = vec![
+        let events: EventLog = [
             Event {
                 cycle: 0,
                 kind: EventKind::RunStart {
@@ -426,7 +423,9 @@ mod tests {
                 cycle: 100,
                 kind: EventKind::RunEnd { total_cycles: 100, supply_drained_at: Some(0) },
             },
-        ];
+        ]
+        .into_iter()
+        .collect();
         let report = MetricsReport::from_events(&events, Some(64));
         assert_eq!(report.windows.len(), 2);
         assert_eq!(report.windows[0].busy, 64);

@@ -29,7 +29,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use rr_alloc::{AnyAllocator, BitmapAllocator, FixedSlots};
-use rr_runtime::{RecordingSink, SchedCosts, UnloadPolicyKind};
+use rr_runtime::{EventLog, SchedCosts, UnloadPolicyKind};
 use rr_sim::{Engine, EventAccountant, SimOptions};
 use rr_workload::{ContextSizeDist, Dist, WorkloadBuilder};
 
@@ -124,9 +124,8 @@ fn run_case(c: &GoldenCase) -> u64 {
         )
     };
     let engine =
-        Engine::with_sink(alloc, sched, policy, workload, opts, RecordingSink::new()).unwrap();
-    let (stats, sink) = engine.run_with_sink();
-    let events = sink.into_events();
+        Engine::with_sink(alloc, sched, policy, workload, opts, EventLog::new()).unwrap();
+    let (stats, events) = engine.run_with_sink();
 
     // Replay oracle: the event stream must reconstruct the stats exactly,
     // bit-for-bit (including the f64 `avg_resident`).

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use rr_alloc::{AnyAllocator, BitmapAllocator, FixedSlots};
-use rr_runtime::{Event, RecordingSink, SchedCosts, UnloadPolicyKind};
+use rr_runtime::{EventLog, SchedCosts, UnloadPolicyKind};
 use rr_sim::{
     Engine, EngineSnapshot, EventAccountant, SimOptions, SimStats, SnapshotError,
     SNAPSHOT_SCHEMA_VERSION,
@@ -66,23 +66,22 @@ fn build(s: &Scenario) -> Result<EngineParts, String> {
     Ok((workload, alloc, sched, policy, opts))
 }
 
-fn engine(s: &Scenario) -> Option<Engine<RecordingSink>> {
+fn engine(s: &Scenario) -> Option<Engine<EventLog>> {
     let (workload, alloc, sched, policy, opts) = build(s).ok()?;
-    Engine::with_sink(alloc, sched, policy, workload, opts, RecordingSink::new()).ok()
+    Engine::with_sink(alloc, sched, policy, workload, opts, EventLog::new()).ok()
 }
 
 /// The uninterrupted reference run.
-fn straight(s: &Scenario) -> Option<(SimStats, Vec<Event>)> {
-    let (stats, sink) = engine(s)?.run_with_sink();
-    Some((stats, sink.into_events()))
+fn straight(s: &Scenario) -> Option<(SimStats, EventLog)> {
+    Some(engine(s)?.run_with_sink())
 }
 
 /// Runs with pauses at each cycle in `pauses` (ascending); at every pause
 /// the engine is serialized to JSON, dropped, and rebuilt from the parsed
 /// snapshot. Returns the final stats and the spliced event stream.
-fn resumed(s: &Scenario, pauses: &[u64]) -> Option<(SimStats, Vec<Event>)> {
+fn resumed(s: &Scenario, pauses: &[u64]) -> Option<(SimStats, EventLog)> {
     let mut eng = engine(s)?;
-    let mut events: Vec<Event> = Vec::new();
+    let mut events = EventLog::new();
     let mut over = false;
     for &pause_at in pauses {
         if eng.advance(pause_at) {
@@ -90,17 +89,17 @@ fn resumed(s: &Scenario, pauses: &[u64]) -> Option<(SimStats, Vec<Event>)> {
             break;
         }
         let snap_json = eng.snapshot().to_json();
-        events.extend_from_slice(eng.sink().events());
+        events.extend(eng.sink());
         drop(eng);
         let snap = EngineSnapshot::from_json(&snap_json).expect("snapshot round-trips");
-        eng = Engine::restore_with_sink(&snap, RecordingSink::new())
+        eng = Engine::restore_with_sink(&snap, EventLog::new())
             .expect("snapshot restores");
     }
     if !over {
         assert!(eng.advance(u64::MAX), "advance(MAX) finishes the run");
     }
     let (stats, sink) = eng.finish();
-    events.extend(sink.into_events());
+    events.extend(&sink);
     Some((stats, events))
 }
 
@@ -193,11 +192,11 @@ fn snapshot_of_unstarted_engine_restores_whole_run() {
     let eng = engine(s).unwrap();
     let snap = EngineSnapshot::from_json(&eng.snapshot().to_json()).unwrap();
     drop(eng);
-    let mut eng = Engine::restore_with_sink(&snap, RecordingSink::new()).unwrap();
+    let mut eng = Engine::restore_with_sink(&snap, EventLog::new()).unwrap();
     assert!(eng.advance(u64::MAX));
     let (stats, sink) = eng.finish();
     assert_eq!(stats, want_stats);
-    assert_eq!(sink.into_events(), want_events);
+    assert_eq!(sink, want_events);
 }
 
 #[test]
