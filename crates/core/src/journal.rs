@@ -207,7 +207,9 @@ impl JobJournal {
     /// (and counted) with a warning, and everything else is returned in
     /// file order.
     pub fn replay(path: &Path) -> ReplaySummary {
-        let text = match fs::read_to_string(path) {
+        // Bytes, not a string: one line of bit rot that is not UTF-8 must
+        // cost that line, not the whole journal.
+        let text = match fs::read(path) {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return ReplaySummary::default(),
             Err(e) => {
@@ -216,12 +218,15 @@ impl JobJournal {
             }
         };
         let mut summary = ReplaySummary::default();
-        let lines: Vec<&str> = text.split('\n').filter(|l| !l.trim().is_empty()).collect();
-        let torn_tail = !text.is_empty() && !text.ends_with('\n');
+        let lines: Vec<&[u8]> = text.split(|&b| b == b'\n').filter(|l| !is_blank(l)).collect();
+        let torn_tail = !text.is_empty() && !text.ends_with(b"\n");
         for (i, line) in lines.iter().enumerate() {
             let last = i + 1 == lines.len();
-            let parsed = serde_json::from_str::<JournalRecord>(line)
-                .map_err(|e| e.to_string())
+            let parsed = std::str::from_utf8(line)
+                .map_err(|e| format!("not UTF-8: {e}"))
+                .and_then(|line| {
+                    serde_json::from_str::<JournalRecord>(line).map_err(|e| e.to_string())
+                })
                 .and_then(|rec| {
                     if rec.v == JOURNAL_SCHEMA_VERSION {
                         Ok(rec)
@@ -284,6 +289,11 @@ impl JobJournal {
         }
         fs::rename(&tmp, path)
     }
+}
+
+/// Whether a journal line holds nothing but whitespace.
+fn is_blank(line: &[u8]) -> bool {
+    std::str::from_utf8(line).is_ok_and(|l| l.trim().is_empty())
 }
 
 #[cfg(test)]
@@ -410,5 +420,100 @@ mod tests {
         assert_eq!(reopened.entries(), 2);
         reopened.append(&JournalRecord::expired(1)).unwrap();
         assert_eq!(reopened.entries(), 3);
+    }
+
+    /// Non-blank lines: each one is either a record or a skipped line.
+    fn non_blank_lines(bytes: &[u8]) -> usize {
+        bytes.split(|&b| b == b'\n').filter(|l| !is_blank(l)).count()
+    }
+
+    fn sample_records() -> Vec<JournalRecord> {
+        vec![
+            JournalRecord::submitted(1, "fig5", "fa", "{\"kind\":\"fig5\"}".into()),
+            JournalRecord::finished_ok(1, "r1".into()),
+            JournalRecord::submitted(2, "trace", "fb", "{}".into()),
+            JournalRecord::finished_err(2, "spec was bad".into()),
+            JournalRecord::expired(1),
+        ]
+    }
+
+    use proptest::prelude::*;
+
+    /// One journal line: a real record, or arbitrary bytes without a newline.
+    fn lines() -> impl Strategy<Value = Vec<Result<usize, Vec<u8>>>> {
+        prop::collection::vec(
+            prop_oneof![
+                (0usize..5).prop_map(Ok),
+                prop::collection::vec(any::<u8>(), 0..80)
+                    .prop_map(|b| Err(b.into_iter().filter(|&c| c != b'\n').collect())),
+            ],
+            0..12,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn replay_skips_arbitrary_lines_and_keeps_every_record(
+            lines in lines(),
+            trailing_newline in any::<bool>(),
+        ) {
+            let dir = TempDir::new("fuzz-lines");
+            let path = dir.file("jobs.jsonl");
+            fs::create_dir_all(&dir.0).unwrap();
+            let records = sample_records();
+            let mut raw: Vec<u8> = Vec::new();
+            let mut want = Vec::new();
+            for line in &lines {
+                match line {
+                    Ok(i) => {
+                        raw.extend(serde_json::to_string(&records[*i]).unwrap().bytes());
+                        want.push(records[*i].clone());
+                    }
+                    Err(bytes) => raw.extend(bytes),
+                }
+                raw.push(b'\n');
+            }
+            if !trailing_newline {
+                raw.pop();
+            }
+            fs::write(&path, &raw).unwrap();
+            let replay = JobJournal::replay(&path);
+            prop_assert_eq!(replay.records.len() + replay.skipped, non_blank_lines(&raw));
+            prop_assert_eq!(&replay.records, &want);
+        }
+
+        #[test]
+        fn replay_survives_truncation_and_byte_flips(
+            cut in 0usize..1000,
+            flips in prop::collection::vec((0usize..1000, 1u8..=255), 0..4),
+        ) {
+            let dir = TempDir::new("fuzz-damage");
+            let path = dir.file("jobs.jsonl");
+            let journal = JobJournal::open(&path).unwrap();
+            let records = sample_records();
+            for record in &records {
+                journal.append(record).unwrap();
+            }
+            let mut raw = fs::read(&path).unwrap();
+            raw.truncate(cut.min(raw.len()));
+            for &(at, mask) in &flips {
+                if !raw.is_empty() {
+                    let at = at % raw.len();
+                    raw[at] ^= mask;
+                }
+            }
+            fs::write(&path, &raw).unwrap();
+            let replay = JobJournal::replay(&path);
+            prop_assert_eq!(replay.records.len() + replay.skipped, non_blank_lines(&raw));
+            if flips.is_empty() {
+                // A cut journal keeps exactly its whole lines, plus a last
+                // line cut just before its newline.
+                let whole = raw.iter().filter(|&&b| b == b'\n').count();
+                prop_assert!(replay.records.len() == whole || replay.records.len() == whole + 1);
+                prop_assert_eq!(&replay.records[..], &records[..replay.records.len()]);
+            }
+        }
     }
 }

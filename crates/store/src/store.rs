@@ -925,4 +925,68 @@ mod tests {
         assert_eq!(store.stats().unwrap().records, 0);
         assert_eq!(store.verify().unwrap().ok, 0);
     }
+
+    /// SplitMix64: a dependency-free byte source for the never-panic suite.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn record_headers_never_panic_on_arbitrary_or_damaged_bytes() {
+        let dir = TempDir::new("never-panic");
+        let store = Store::open(&dir.0, "salt-f").unwrap();
+        let k = key(7);
+        let payload = b"{\"points\":[1,2,3]}\n\x00binary\xff";
+        store.put(&k, payload).unwrap();
+        let healthy = fs::read(store.record_path(&k)).unwrap();
+        let range = validate_record(&healthy, Some(&k), Some("salt-f")).expect("healthy record");
+        assert_eq!(&healthy[range], payload);
+        let (header, _) = split_record(&healthy).unwrap();
+        parse_header(header).expect("a healthy header parses");
+
+        let probe = |bytes: &[u8]| {
+            let _ = parse_header(bytes);
+            let _ = validate_record(bytes, None, None);
+            validate_record(bytes, Some(&k), Some("salt-f"))
+        };
+        let mut rng = Mix(0x5eed);
+        // Arbitrary bytes, half of them behind the real header line so the
+        // checks past the parse run too.
+        for i in 0..3000 {
+            let mut bytes = if i % 2 == 0 { Vec::new() } else { header.to_vec() };
+            if i % 4 == 1 {
+                bytes.push(b'\n');
+            }
+            let len = rng.below(200);
+            bytes.extend((0..len).map(|_| rng.next() as u8));
+            let _ = probe(&bytes);
+        }
+        // Every truncation of the real record is refused.
+        for cut in 0..healthy.len() {
+            assert!(probe(&healthy[..cut]).is_err(), "truncation at {cut} validated");
+        }
+        // So is every record with one to four bytes changed.
+        for _ in 0..3000 {
+            let mut bytes = healthy.clone();
+            for _ in 0..1 + rng.below(4) {
+                let at = rng.below(bytes.len());
+                bytes[at] ^= 1 + rng.below(255) as u8;
+            }
+            if bytes != healthy {
+                assert!(probe(&bytes).is_err(), "damaged record validated: {bytes:?}");
+            }
+        }
+    }
 }
