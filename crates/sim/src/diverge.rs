@@ -54,6 +54,10 @@ use crate::engine::Engine;
 use crate::snapshot::EngineSnapshot;
 use crate::stats::SimStats;
 
+/// A lockstep leg's engine: its sink is the window buffer of events not
+/// yet compared.
+type WindowEngine = Engine<Vec<Event>>;
+
 /// Knobs of the lockstep comparator. The defaults suit full-size
 /// experiment runs; tests shrink the window to exercise many boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -153,14 +157,14 @@ pub struct DivergeOutcome {
 /// leg's uncompared events, its completion flag, and the compared prefix
 /// when the caller keeps whole streams.
 struct Leg {
-    engine: Engine<Vec<Event>>,
+    engine: WindowEngine,
     done: bool,
     /// Every compared event, under [`DivergeConfig::keep_events`] only.
     kept: Option<EventLog>,
 }
 
 impl Leg {
-    fn new(engine: Engine<Vec<Event>>, cfg: &DivergeConfig) -> Leg {
+    fn new(engine: WindowEngine, cfg: &DivergeConfig) -> Leg {
         Leg { engine, done: false, kept: cfg.keep_events.then(EventLog::new) }
     }
 
@@ -373,7 +377,7 @@ fn run_out(leg: Leg) -> Result<(SimStats, Option<EventLog>), String> {
 const RUN_OUT_STRIDE: u64 = 1 << 20;
 
 /// Restores both legs of a bracket with fresh event buffers.
-fn restore_pair(bracket: &Bracket) -> Result<(Engine<Vec<Event>>, Engine<Vec<Event>>), String> {
+fn restore_pair(bracket: &Bracket) -> Result<(WindowEngine, WindowEngine), String> {
     let a = Engine::restore_with_sink(&bracket.snap_a, Vec::new())
         .map_err(|e| format!("diverge bisection cannot restore leg A: {e}"))?;
     let b = Engine::restore_with_sink(&bracket.snap_b, Vec::new())
@@ -523,8 +527,8 @@ fn bisect(
 fn probe_horizon(
     done_a: bool,
     done_b: bool,
-    a: &Engine<Vec<Event>>,
-    b: &Engine<Vec<Event>>,
+    a: &WindowEngine,
+    b: &WindowEngine,
 ) -> u64 {
     match (done_a, done_b) {
         (true, true) => u64::MAX,
@@ -658,7 +662,7 @@ mod tests {
 
     use crate::options::SimOptions;
 
-    fn engine(file_size: u32, seed: u64) -> Engine<Vec<Event>> {
+    fn engine(file_size: u32, seed: u64) -> WindowEngine {
         let workload = WorkloadBuilder::new()
             .threads(24)
             .run_length(Dist::Geometric { mean: 16.0 })

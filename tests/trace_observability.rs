@@ -180,6 +180,19 @@ fn traced_point_chrome_trace_matches_its_golden() {
     assert_eq!(sha256_hex(doc.as_bytes()), GOLDEN_TRACED_POINT_CHROME, "{} bytes", doc.len());
 }
 
+/// The compact log's reason to exist: a real stream (the golden traced
+/// point, both legs) costs under 6 bytes per event, against 48 in a
+/// `Vec<Event>`.
+#[test]
+fn event_logs_stay_under_six_bytes_per_event() {
+    let spec = quick_spec(42, FaultKind::Sync { mean_latency: 300.0 }, 64.0);
+    let point = TracedPoint::run(&spec).unwrap();
+    for run in [&point.fixed, &point.flexible] {
+        let per_event = run.events.encoded_bytes() as f64 / run.events.len() as f64;
+        assert!(per_event < 6.0, "{:?}: {per_event:.2} bytes per event", run.arch);
+    }
+}
+
 /// A fixed span list with hostile names: quotes, backslashes, control
 /// characters and non-ASCII, on fixed and auto-assigned lanes.
 fn hostile_timeline() -> Vec<TimelineSpan> {
