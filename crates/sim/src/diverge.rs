@@ -20,8 +20,8 @@
 //!    (`rr_runtime::event_diff`); equal prefixes are drained from the
 //!    buffers in place (into an [`EventLog`] under
 //!    [`DivergeConfig::keep_events`]), so scan memory stays bounded by one
-//!    window regardless of run length. Clean boundaries snapshot both engines; the uncompared
-//!    holdover events (between the horizon and each leg's clock) ride
+//!    window regardless of run length. Clean boundaries snapshot both
+//!    engines; the uncompared holdover events (between the horizon and each leg's clock) ride
 //!    along with the snapshots to keep later comparisons aligned.
 //! 2. **Bisection.** When a window's prefixes differ, the first divergent
 //!    event lies somewhere inside it. Binary-search the window from the
@@ -348,29 +348,22 @@ fn leg_report(label: &str, stats: SimStats, events: Option<EventLog>) -> LegRepo
 /// Finishes a leg whose comparison is over. A kept stream records the
 /// rest of the run, a stride at a time so the buffer stays small. Without
 /// one, the leg finishes on an engine restored from its snapshot with no
-/// sink at all — restore is bit-identical to running on, and nothing is
+/// sink at all: restore is bit-identical to running on, and nothing is
 /// emitted that nobody would read.
-fn run_out(leg: Leg) -> Result<(SimStats, Option<EventLog>), String> {
-    let Leg { mut engine, mut done, kept } = leg;
-    match kept {
-        Some(mut log) => {
-            while !done {
-                done = engine.advance(engine.now().saturating_add(RUN_OUT_STRIDE));
-                log.extend(engine.sink_mut().drain(..));
-            }
-            let (stats, tail) = engine.finish();
-            log.extend(tail);
-            Ok((stats, Some(log)))
-        }
-        None if done => Ok((engine.finish().0, None)),
-        None => {
-            let mut plain = Engine::restore(&engine.snapshot())
-                .map_err(|e| format!("diverge cannot restore a leg to finish it: {e}"))?;
-            drop(engine);
-            plain.advance(u64::MAX);
-            Ok((plain.finish().0, None))
-        }
+fn run_out(mut leg: Leg) -> Result<(SimStats, Option<EventLog>), String> {
+    if leg.kept.is_none() && !leg.done {
+        let mut plain = Engine::restore(&leg.engine.snapshot())
+            .map_err(|e| format!("diverge cannot restore a leg to finish it: {e}"))?;
+        drop(leg);
+        plain.advance(u64::MAX);
+        return Ok((plain.finish().0, None));
     }
+    while !leg.done {
+        leg.done = leg.engine.advance(leg.engine.now().saturating_add(RUN_OUT_STRIDE));
+        leg.consume(leg.uncompared().len());
+    }
+    let (stats, _, events) = leg.finish();
+    Ok((stats, events))
 }
 
 /// Cycle stride used to record a diverged leg's kept stream to completion.
