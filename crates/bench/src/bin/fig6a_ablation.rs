@@ -12,12 +12,26 @@
 //!
 //! `cargo run --release --bin fig6a_ablation [--jobs <n>]`
 
+use register_relocation::cli::{self, Command, Flag};
 use register_relocation::experiments::{Arch, ExperimentSpec, FaultKind};
 use register_relocation::figures::FIG6_EXTENDED_LATENCIES;
 use register_relocation::sweep::SweepRunner;
-use rr_bench::{jobs, seed};
+use rr_bench::seed;
+
+const COMMAND: Command = Command {
+    name: "fig6a_ablation",
+    about: "fig6a_ablation — the section 3.3 cheap-allocation rerun of Figure 6(a)\n\n  \
+fig6a_ablation [--jobs <n>]\n\nThe seed is $RR_SEED, else 1993.\n",
+    flags: &[&[Flag::value("--jobs <n>", "job count", "sweep workers (default 0 = all cores)")]],
+    operands: 0,
+};
 
 fn main() -> Result<(), String> {
+    let Some(args) = cli::parse(&COMMAND, &cli::words())? else {
+        print!("{}", COMMAND.usage());
+        return Ok(());
+    };
+    let jobs = args.get("--jobs")?.unwrap_or(0);
     println!("Figure 6(a) ablation: F = 64, R = 32, sync faults, C ~ U(6,24)\n");
     let archs = [
         (Arch::Fixed, "fixed (free ops)"),
@@ -39,7 +53,7 @@ fn main() -> Result<(), String> {
             })
         })
         .collect();
-    let runs = SweepRunner::new(jobs()).run_specs(&specs)?;
+    let runs = SweepRunner::new(jobs).run_specs(&specs)?;
     print!("{:<34}", "L =");
     for l in FIG6_EXTENDED_LATENCIES {
         print!("{l:>9}");

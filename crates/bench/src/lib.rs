@@ -1,63 +1,24 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! The `rr-bench` crate regenerates every table and figure of the paper:
+//! The `rr-bench` crate regenerates the paper's tables and experiments
+//! beyond the figure sweeps, which `rr` runs itself:
 //!
 //! | target | regenerates |
 //! |---|---|
-//! | `cargo run --release --bin fig5` | Figure 5 (cache faults, 3 panels) |
-//! | `cargo run --release --bin fig6` | Figure 6 (synchronization faults) |
+//! | `cargo run --release --bin rr -- fig5` | Figure 5 (cache faults, 3 panels) |
+//! | `cargo run --release --bin rr -- fig6` | Figure 6 (synchronization faults) |
+//! | `cargo run --release --bin rr -- homogeneous --context 16` | section 3.4's homogeneous contexts (C = 8 by default) |
 //! | `cargo run --release --bin fig6a_ablation` | section 3.3's low-cost-allocation rerun |
-//! | `cargo run --release --bin homogeneous` | section 3.4's C = 8 / C = 16 experiments |
 //! | `cargo run --release --bin table_costs` | Figure 4's cost table, measured on the ISA machine |
 //! | `cargo run --release --bin model_check` | section 3.4's analytical model vs simulation |
 //! | `cargo run --release --bin adaptive` | section 5.2's adaptive context limiting |
 //! | `cargo bench` | Criterion micro/meso benchmarks of the implementation itself |
+//!
+//! `rr <subcommand> --help` lists each figure sweep's flags.
 
-use register_relocation::cache;
-use register_relocation::figures::FigurePoint;
-use rr_store::Store;
-
-/// Emits a figure panel in both human-readable and JSONL forms.
-pub fn emit_panel(title: &str, points: &[FigurePoint]) {
-    println!("{}", register_relocation::report::format_panel(title, points));
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", register_relocation::report::format_jsonl(points));
-    }
-}
+use register_relocation::spec::{env_seed, DEFAULT_SEED};
 
 /// Standard seed for the published tables (override with `RR_SEED`).
 pub fn seed() -> u64 {
-    std::env::var("RR_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1993)
-}
-
-/// The result store the sweep binaries should attach, resolved from
-/// `--store [dir]` / `--no-store` on the command line and the `RR_STORE`
-/// environment variable (see [`cache::store_dir_from_args`]). A store that
-/// fails to open degrades to running without one, with a warning — figure
-/// regeneration must never die over a cache.
-pub fn store() -> Option<Store> {
-    let args: Vec<String> = std::env::args().collect();
-    let dir = cache::store_dir_from_args(&args)?;
-    match cache::open_store(&dir) {
-        Ok(store) => Some(store),
-        Err(e) => {
-            eprintln!(
-                "warning: cannot open result store at `{}`: {e}; running uncached",
-                dir.display()
-            );
-            None
-        }
-    }
-}
-
-/// Sweep worker count: `--jobs <n>` on the command line, else the `RR_JOBS`
-/// environment variable, else 0 (one worker per hardware thread).
-pub fn jobs() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .or_else(|| std::env::var("RR_JOBS").ok().and_then(|v| v.parse().ok()))
-        .unwrap_or(0)
+    env_seed().unwrap_or(DEFAULT_SEED)
 }

@@ -29,7 +29,8 @@ use crate::sweep::SWEEP_SCHEMA_VERSION;
 /// Default store directory, created next to wherever the sweep runs.
 pub const DEFAULT_STORE_DIR: &str = ".rr-store";
 
-/// Environment variable naming the store directory (CLI flags win over it).
+/// Environment variable naming the store directory (CLI flags win over it;
+/// see [`crate::cli::Args::store_dir`]).
 pub const STORE_ENV: &str = "RR_STORE";
 
 /// The salt under which this build stores and serves sweep points.
@@ -189,31 +190,9 @@ pub fn stats_report(store: &Store) -> Result<CacheStatsReport, StoreError> {
     })
 }
 
-/// Resolves the store directory from CLI args and the environment.
-///
-/// Precedence: `--no-store` (off) > `--store [dir]` (on, `dir` defaulting to
-/// [`DEFAULT_STORE_DIR`]) > `RR_STORE=<dir>` env > off.
-pub fn store_dir_from_args(args: &[String]) -> Option<PathBuf> {
-    if args.iter().any(|a| a == "--no-store") {
-        return None;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--store") {
-        let dir = match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => v.clone(),
-            _ => DEFAULT_STORE_DIR.to_string(),
-        };
-        return Some(PathBuf::from(dir));
-    }
-    std::env::var(STORE_ENV).ok().filter(|v| !v.is_empty()).map(PathBuf::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
 
     #[test]
     fn salt_names_all_version_axes() {
@@ -265,23 +244,5 @@ mod tests {
         let mut other = spec;
         other.file_size *= 2;
         assert_ne!(diverge, diverge_key(&other, &salt).unwrap());
-    }
-
-    #[test]
-    fn store_dir_precedence() {
-        assert_eq!(store_dir_from_args(&args(&["--no-store", "--store", "d"])), None);
-        assert_eq!(
-            store_dir_from_args(&args(&["--store", "mydir"])),
-            Some(PathBuf::from("mydir"))
-        );
-        assert_eq!(
-            store_dir_from_args(&args(&["--store", "--json"])),
-            Some(PathBuf::from(DEFAULT_STORE_DIR)),
-            "--store with no value falls back to the default dir"
-        );
-        assert_eq!(
-            store_dir_from_args(&args(&["--store"])),
-            Some(PathBuf::from(DEFAULT_STORE_DIR))
-        );
     }
 }

@@ -7,15 +7,12 @@
 //! here span the same qualitative range (from latencies short enough to
 //! saturate every configuration up to latencies deep in the linear regime).
 //!
-//! These entry points run serially (one worker) through the
-//! [`crate::sweep`] runner; callers wanting parallelism and per-run
-//! observability use [`crate::sweep::SweepRunner`] directly. Either way the
-//! figure points are bit-identical.
+//! The grids themselves are [`crate::sweep::SweepGrid`]s, expanded from a
+//! [`crate::spec::RunSpec`] and run by [`crate::sweep::SweepRunner`].
 
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::ComparisonPoint;
-use crate::sweep::{SweepGrid, SweepRunner};
 
 /// Run lengths of Figure 5 (cache faults): circles, squares, triangles.
 pub const FIG5_RUN_LENGTHS: [f64; 3] = [8.0, 32.0, 128.0];
@@ -44,56 +41,20 @@ pub struct FigurePoint {
     pub comparison: ComparisonPoint,
 }
 
-/// Sweeps one panel of Figure 5 (cache faults) for register file size
-/// `file_size`.
-///
-/// # Errors
-///
-/// Propagates experiment failures.
-pub fn figure5_sweep(file_size: u32, seed: u64) -> Result<Vec<FigurePoint>, String> {
-    run_serial(&SweepGrid::figure5_panel(file_size, seed))
-}
-
-/// Sweeps one panel of Figure 6 (synchronization faults) for register file
-/// size `file_size`.
-///
-/// # Errors
-///
-/// Propagates experiment failures.
-pub fn figure6_sweep(file_size: u32, seed: u64) -> Result<Vec<FigurePoint>, String> {
-    run_serial(&SweepGrid::figure6_panel(file_size, seed))
-}
-
-/// Sweeps a panel with homogeneous context sizes (the section 3.4
-/// experiments, `C` = 8 or 16).
-///
-/// # Errors
-///
-/// Propagates experiment failures.
-pub fn homogeneous_sweep(
-    file_size: u32,
-    context_size: u32,
-    seed: u64,
-) -> Result<Vec<FigurePoint>, String> {
-    run_serial(&SweepGrid::homogeneous(file_size, context_size, seed))
-}
-
-fn run_serial(grid: &SweepGrid) -> Result<Vec<FigurePoint>, String> {
-    Ok(SweepRunner::new(1).with_progress(false).run(grid)?.report.figure_points())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{SweepGrid, SweepRunner};
 
     /// A miniature figure-5 panel (few points, small work) exercising the
-    /// full sweep path; the real grids run in the bench binaries.
+    /// full sweep path; the real grids run in `rr fig5` and `rr fig6`.
     #[test]
     fn mini_sweep_has_paper_shape() {
         let mut grid = SweepGrid::figure5_panel(128, 7);
         grid.run_lengths = vec![8.0, 128.0];
         grid.latencies = vec![50, 400];
-        let points = run_serial(&grid).unwrap();
+        let run = SweepRunner::new(1).with_progress(false).run(&grid).unwrap();
+        let points = run.report.figure_points();
         assert_eq!(points.len(), 4);
         // Flexible wins or ties everywhere on this grid.
         for p in &points {

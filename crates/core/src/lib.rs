@@ -59,6 +59,8 @@
 
 pub mod bench;
 pub mod cache;
+pub mod cli;
+pub mod commands;
 pub mod diverge;
 pub mod experiments;
 pub mod figures;
@@ -66,6 +68,7 @@ pub mod journal;
 pub mod report;
 pub mod serve;
 pub mod software_only;
+pub mod spec;
 pub mod sweep;
 pub mod trace;
 mod trace_export;
@@ -76,9 +79,10 @@ pub use diverge::{
     DIVERGE_SCHEMA_VERSION,
 };
 pub use experiments::{Arch, ComparisonPoint, ExperimentSpec, FaultKind};
-pub use figures::{figure5_sweep, figure6_sweep, FigurePoint};
+pub use figures::FigurePoint;
 pub use journal::{JobJournal, JournalRecord, JOURNAL_SCHEMA_VERSION};
 pub use serve::{run_serve, HealthBody, ServeOptions, SubmitRequest};
+pub use spec::{RunSpec, SpecError};
 pub use sweep::{
     CacheSummary, PointOutcome, PointReport, SweepGrid, SweepReport, SweepRun, SweepRunner,
     SWEEP_SCHEMA_VERSION,

@@ -153,16 +153,6 @@ fn efficiency_sparkline(run: &TracedArchRun) -> String {
         .collect()
 }
 
-/// Renders the points as a machine-readable JSON lines block (one point per
-/// line), for EXPERIMENTS.md and downstream plotting.
-pub fn format_jsonl(points: &[FigurePoint]) -> String {
-    points
-        .iter()
-        .map(|p| serde_json::to_string(p).expect("figure points serialize"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,14 +184,6 @@ mod tests {
         assert!(s.contains("fixed"));
         assert!(s.contains("flexible"));
         assert!(s.contains("2.00"), "ratio row present:\n{s}");
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        let pts = vec![point(8.0, 50.0, 0.2, 0.4)];
-        let s = format_jsonl(&pts);
-        let back: FigurePoint = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, pts[0]);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The `rr serve` daemon: sweep jobs over HTTP.
 //!
 //! This module binds the generic [`rr_serve`] service framework to the
-//! experiment harness. A client POSTs a [`SubmitRequest`] naming a figure
-//! family and the usual sweep knobs; the daemon expands it into the exact
-//! [`SweepGrid`] the CLI would build, fingerprints the grid, and runs it on
+//! experiment harness. A client POSTs a [`SubmitRequest`] (a
+//! [`crate::spec::RunSpec`]) naming a figure family and the usual sweep
+//! knobs; the daemon expands it into the exact [`SweepGrid`] the CLI
+//! builds, fingerprints the grid, and runs it on
 //! a bounded worker pool backed by [`SweepRunner`] — result store, point
 //! caching, and all. The finished job's payload is *byte-identical* to what
 //! `rr fig5 --json` writes for the same spec and seed, because both paths
@@ -116,120 +117,10 @@ impl Default for ServeOptions {
     }
 }
 
-/// A sweep-job submission: the body of `POST /jobs`.
-///
-/// Everything but `kind` is optional and defaults exactly like the CLI
-/// flags of the matching subcommand, so the same knobs produce the same
-/// grid — and therefore the same fingerprint and the same stored points.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SubmitRequest {
-    /// Figure family: `"fig5"`, `"fig6"`, or `"homogeneous"`.
-    pub kind: String,
-    /// Register file size `F` — one panel. Omitted: the full figure grid
-    /// (`fig5`/`fig6`) or `128` (`homogeneous`).
-    pub file: Option<u32>,
-    /// Homogeneous context size `C` (default 8; ignored by `fig5`/`fig6`).
-    pub context: Option<u32>,
-    /// Workload seed (default 1993, the paper's).
-    pub seed: Option<u64>,
-    /// Threads per workload (default: the figures' 64).
-    pub threads: Option<u64>,
-    /// Useful cycles per thread (default: the figures' 20000).
-    pub work: Option<u64>,
-}
-
-// Hand-written: the vendored serde derive requires every named field to be
-// present, but optional submission fields may simply be absent from the
-// client's JSON.
-impl serde::Deserialize for SubmitRequest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Object(_)) {
-            return Err(serde::Error::expected("submission object", v));
-        }
-        // A field that is absent or explicitly `null` is simply unset.
-        fn optional<T: serde::Deserialize>(
-            v: &serde::Value,
-            name: &str,
-        ) -> Result<Option<T>, serde::Error> {
-            match v.get(name) {
-                None | Some(serde::Value::Null) => Ok(None),
-                Some(_) => serde::field(v, "SubmitRequest", name).map(Some),
-            }
-        }
-        Ok(SubmitRequest {
-            kind: serde::field(v, "SubmitRequest", "kind")?,
-            file: optional(v, "file")?,
-            context: optional(v, "context")?,
-            seed: optional(v, "seed")?,
-            threads: optional(v, "threads")?,
-            work: optional(v, "work")?,
-        })
-    }
-}
-
-impl SubmitRequest {
-    /// Expands the submission into the grid the matching CLI subcommand
-    /// would run, mirroring its defaults.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown `kind`s and degenerate knob values.
-    pub fn to_grid(&self) -> Result<SweepGrid, String> {
-        let seed = self.seed.unwrap_or(1993);
-        let mut grid = match self.kind.as_str() {
-            "fig5" => match self.file {
-                Some(f) => SweepGrid::figure5_panel(f, seed),
-                None => SweepGrid::figure5(seed),
-            },
-            "fig6" => match self.file {
-                Some(f) => SweepGrid::figure6_panel(f, seed),
-                None => SweepGrid::figure6(seed),
-            },
-            "homogeneous" => SweepGrid::homogeneous(
-                self.file.unwrap_or(128),
-                self.context.unwrap_or(8),
-                seed,
-            ),
-            other => {
-                return Err(format!(
-                    "unknown kind `{other}`; expected fig5, fig6, or homogeneous"
-                ))
-            }
-        };
-        if let Some(threads) = self.threads {
-            if threads == 0 {
-                return Err("threads must be >= 1".to_string());
-            }
-            grid.base.threads = usize::try_from(threads).map_err(|_| "threads out of range")?;
-        }
-        if let Some(work) = self.work {
-            if work == 0 {
-                return Err("work must be >= 1".to_string());
-            }
-            grid.base.work_per_thread = work;
-        }
-        Ok(grid)
-    }
-
-    /// A human-readable job label for listings and logs.
-    pub fn label(&self) -> String {
-        let mut label = self.kind.clone();
-        if let Some(f) = self.file {
-            label.push_str(&format!(" F={f}"));
-        }
-        if let Some(c) = self.context {
-            label.push_str(&format!(" C={c}"));
-        }
-        label.push_str(&format!(" seed={}", self.seed.unwrap_or(1993)));
-        if let Some(t) = self.threads {
-            label.push_str(&format!(" threads={t}"));
-        }
-        if let Some(w) = self.work {
-            label.push_str(&format!(" work={w}"));
-        }
-        label
-    }
-}
+/// A sweep-job submission, the body of `POST /jobs`: the same
+/// [`RunSpec`] the sweep subcommands parse their flags into. A field the
+/// spec does not have is rejected with `400`.
+pub use crate::spec::RunSpec as SubmitRequest;
 
 /// The content address a submission dedups on: the expanded grid's
 /// canonical JSON under the store salt, domain-tagged `"job"` so it can
@@ -316,7 +207,7 @@ impl ServeHandler {
         };
         let grid = match parsed.to_grid() {
             Ok(g) => g,
-            Err(e) => return Response::error(StatusCode::BadRequest, &e),
+            Err(e) => return Response::error(StatusCode::BadRequest, &e.to_string()),
         };
         if grid.is_empty() {
             return Response::error(StatusCode::BadRequest, "submission expands to an empty grid");
@@ -1002,7 +893,7 @@ mod tests {
         assert_eq!((req.file, req.seed, req.threads, req.work, req.context),
                    (None, None, None, None, None));
         let grid = req.to_grid().unwrap();
-        assert_eq!(grid, SweepGrid::figure5(1993), "defaults mirror the CLI");
+        assert_eq!(grid, SweepGrid::figure5(1993), "every default applies");
     }
 
     #[test]
@@ -1020,18 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn submissions_mirror_every_cli_grid() {
-        let fig6 = parse(r#"{"kind": "fig6", "file": 128, "seed": 3}"#).to_grid().unwrap();
-        assert_eq!(fig6, SweepGrid::figure6_panel(128, 3));
-        let homog = parse(r#"{"kind": "homogeneous", "context": 16, "seed": 3}"#)
-            .to_grid()
-            .unwrap();
-        assert_eq!(homog, SweepGrid::homogeneous(128, 16, 3));
-        let homog_default = parse(r#"{"kind": "homogeneous"}"#).to_grid().unwrap();
-        assert_eq!(homog_default, SweepGrid::homogeneous(128, 8, 1993));
-    }
-
-    #[test]
     fn bad_submissions_are_rejected() {
         assert!(serde_json::from_str::<SubmitRequest>(r#"{"file": 64}"#).is_err(), "kind required");
         assert!(serde_json::from_str::<SubmitRequest>(r#"[1,2]"#).is_err());
@@ -1039,6 +918,8 @@ mod tests {
         assert!(parse(r#"{"kind": "fig7"}"#).to_grid().is_err(), "unknown kind");
         assert!(parse(r#"{"kind": "fig5", "threads": 0}"#).to_grid().is_err());
         assert!(parse(r#"{"kind": "fig5", "work": 0}"#).to_grid().is_err());
+        let typo = serde_json::from_str::<SubmitRequest>(r#"{"kind": "fig5", "fiel": 64}"#);
+        assert!(typo.unwrap_err().to_string().contains("unknown field `fiel`"));
     }
 
     #[test]

@@ -98,9 +98,11 @@ pub fn assemble_at(source: &str, origin: u32) -> Result<Program, AsmError> {
 
     // Pass 1: assign addresses to labels.
     let mut labels: HashMap<String, u32> = HashMap::new();
+    // Every address must stay nameable by a label, so a program may end
+    // at `ADDR20_LIMIT` but not past it; pass 2 then cannot overflow.
     let mut addr = origin;
     for item in &items {
-        match &item.kind {
+        let size = match &item.kind {
             ItemKind::Label(name) => {
                 if labels.insert(name.clone(), addr).is_some() {
                     return Err(AsmError {
@@ -108,11 +110,16 @@ pub fn assemble_at(source: &str, origin: u32) -> Result<Program, AsmError> {
                         kind: AsmErrorKind::DuplicateLabel(name.clone()),
                     });
                 }
+                0
             }
-            ItemKind::Stmt(stmt) => addr += stmt_words(stmt),
-            ItemKind::Word(_) => addr += 1,
-            ItemKind::Space(n) => addr += n,
-        }
+            ItemKind::Stmt(stmt) => stmt_words(stmt),
+            ItemKind::Word(_) => 1,
+            ItemKind::Space(n) => *n,
+        };
+        addr = addr.checked_add(size).filter(|&end| end <= ADDR20_LIMIT).ok_or(AsmError {
+            line: item.line,
+            kind: AsmErrorKind::ProgramTooLarge { end: u64::from(addr) + u64::from(size) },
+        })?;
     }
 
     // Pass 2: encode.
@@ -211,18 +218,23 @@ fn parse(source: &str) -> Result<Vec<Item>, AsmError> {
             continue;
         }
         if let Some(rest) = text.strip_prefix(".word") {
-            let v = parse_int(rest.trim()).ok_or_else(|| AsmError {
-                line: line_no,
-                kind: AsmErrorKind::BadDirective(text.to_string()),
-            })?;
+            // Signed or unsigned 32-bit, as `li32` takes.
+            let v = parse_int(rest.trim())
+                .filter(|v| WORD_RANGE.contains(v))
+                .ok_or_else(|| AsmError {
+                    line: line_no,
+                    kind: AsmErrorKind::BadDirective(text.to_string()),
+                })?;
             items.push(Item { line: line_no, kind: ItemKind::Word(v as u32) });
             continue;
         }
         if let Some(rest) = text.strip_prefix(".space") {
-            let v = parse_int(rest.trim()).filter(|v| *v >= 0).ok_or_else(|| AsmError {
-                line: line_no,
-                kind: AsmErrorKind::BadDirective(text.to_string()),
-            })?;
+            let v = parse_int(rest.trim())
+                .filter(|v| (0..=i64::from(ADDR20_LIMIT)).contains(v))
+                .ok_or_else(|| AsmError {
+                    line: line_no,
+                    kind: AsmErrorKind::BadDirective(text.to_string()),
+                })?;
             items.push(Item { line: line_no, kind: ItemKind::Space(v as u32) });
             continue;
         }
@@ -376,6 +388,9 @@ fn stmt_words(stmt: &Stmt) -> u32 {
     }
 }
 
+/// The values a 32-bit constant may take: signed or unsigned 32-bit.
+const WORD_RANGE: std::ops::Range<i64> = -(1i64 << 31)..(1i64 << 32);
+
 /// Words produced by the `li32` pseudo-instruction. The expansion is
 /// fixed-length so label addresses never depend on the constant's value.
 const LI32_WORDS: u32 = 5;
@@ -393,7 +408,7 @@ fn lower_li32(stmt: &Stmt, line: usize) -> Result<Vec<Instr<ContextReg>>, AsmErr
     }
     let d = parse_reg(&stmt.operands[0], line)?;
     let v = parse_int(&stmt.operands[1])
-        .filter(|v| (-(1i64 << 31)..(1i64 << 32)).contains(v))
+        .filter(|v| WORD_RANGE.contains(v))
         .ok_or_else(|| AsmError {
             line,
             kind: AsmErrorKind::BadImmediate(stmt.operands[1].clone()),
@@ -608,6 +623,24 @@ mod tests {
         assert_eq!(p.words()[0], 0xdead_beef);
         assert_eq!(&p.words()[1..4], &[0, 0, 0]);
         assert_eq!(p.len(), 5);
+    }
+
+    #[test]
+    fn directives_and_program_size_are_bounded() {
+        // A 20-bit address space: a program may end at ADDR20_LIMIT, not past it.
+        let limit = ADDR20_LIMIT;
+        assert_eq!(assemble(&format!(".space {limit}")).unwrap().len(), limit as usize);
+        let err = assemble(&format!(".space {limit}\n nop")).unwrap_err();
+        assert_eq!((err.line, err.kind), (2, AsmErrorKind::ProgramTooLarge { end: 1 << 20 | 1 }));
+        for too_big in [".space 4294967295\n nop", ".space 5000000001", ".space 1048577"] {
+            let err = assemble(too_big).unwrap_err();
+            assert!(matches!(err.kind, AsmErrorKind::BadDirective(_)), "{too_big}: {err}");
+        }
+        assert_eq!(assemble(".word 0xffffffff").unwrap().words(), &[0xffff_ffff]);
+        assert_eq!(assemble(".word -2147483648").unwrap().words(), &[0x8000_0000]);
+        for out_of_range in [".word 0x100000000", ".word -2147483649"] {
+            assert!(assemble(out_of_range).is_err(), "{out_of_range}");
+        }
     }
 
     #[test]

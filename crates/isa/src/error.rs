@@ -159,6 +159,11 @@ pub enum AsmErrorKind {
     },
     /// A malformed directive such as `.word`.
     BadDirective(String),
+    /// The program would end past the last address a label can name.
+    ProgramTooLarge {
+        /// The word address the program would end at.
+        end: u64,
+    },
 }
 
 impl fmt::Display for AsmError {
@@ -185,6 +190,11 @@ impl fmt::Display for AsmErrorKind {
                 write!(f, "jump target {to} exceeds the absolute address range")
             }
             AsmErrorKind::BadDirective(d) => write!(f, "bad directive `{d}`"),
+            AsmErrorKind::ProgramTooLarge { end } => write!(
+                f,
+                "program would end at word {end}, past the {}-word address space",
+                crate::instr::ADDR20_LIMIT
+            ),
         }
     }
 }

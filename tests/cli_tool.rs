@@ -285,3 +285,146 @@ fn bad_inputs_fail_cleanly() {
     assert!(out.status.success(), "bare invocation prints usage");
     assert!(String::from_utf8_lossy(&out.stdout).contains("toolchain"));
 }
+
+/// Runs `rr` with `args` in `dir` (with no `RR_STORE`), killing it if it
+/// has not finished within a minute: a subcommand that ignores `--help`
+/// or a bad flag may start a sweep or a daemon instead of exiting.
+fn rr_in(dir: &std::path::Path, args: &[&str]) -> std::process::Output {
+    let mut child = rr()
+        .args(args)
+        .current_dir(dir)
+        .env_remove("RR_STORE")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("`rr {}` still running after 60 s", args.join(" "));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
+/// A fresh, empty working directory, removed on drop.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(name: &str) -> Self {
+        let path = tempfile::unique_path(name);
+        std::fs::create_dir_all(&path).unwrap();
+        ScratchDir(path)
+    }
+
+    fn entries(&self) -> Vec<String> {
+        std::fs::read_dir(&self.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The subcommands `rr help --list` names, checked against the flag tables.
+fn subcommands() -> Vec<String> {
+    let out = rr().args(["help", "--list"]).output().unwrap();
+    let names: Vec<String> =
+        String::from_utf8(out.stdout).unwrap().lines().map(String::from).collect();
+    let tables: Vec<&str> =
+        register_relocation::commands::COMMANDS.iter().map(|c| c.name).collect();
+    assert_eq!(names, tables, "help --list and the flag tables disagree");
+    names
+}
+
+/// Every subcommand answers `--help` with its usage, does no work and
+/// writes nothing; and every subcommand rejects a flag it does not take,
+/// naming it.
+#[test]
+fn every_subcommand_answers_help_and_rejects_unknown_flags() {
+    for name in subcommands() {
+        let dir = ScratchDir::new("help");
+        let help = rr_in(&dir.0, &[&name, "--help"]);
+        let text = String::from_utf8_lossy(&help.stdout);
+        let err = String::from_utf8_lossy(&help.stderr);
+        assert!(help.status.success(), "rr {name} --help: {err}");
+        let title = if name == "help" { "rr — ".to_string() } else { format!("rr {name} — ") };
+        assert!(text.starts_with(&title), "rr {name} --help printed: {text}");
+        assert_eq!(dir.entries(), Vec::<String>::new(), "rr {name} --help wrote files");
+
+        let bad = rr_in(&dir.0, &[&name, "--no-such-flag"]);
+        let err = String::from_utf8_lossy(&bad.stderr);
+        assert!(!bad.status.success(), "rr {name} accepted --no-such-flag");
+        assert!(err.contains("`--no-such-flag`"), "rr {name}: {err}");
+        assert_eq!(dir.entries(), Vec::<String>::new(), "rr {name} --no-such-flag wrote files");
+    }
+}
+
+/// The `--flag`s a usage text names.
+fn flags_named_in(text: &str) -> std::collections::BTreeSet<String> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| word.starts_with("--") && word.len() > 2)
+        .map(String::from)
+        .collect()
+}
+
+/// Each subcommand's `--help` names exactly the flags its table accepts
+/// (plus `--help`), and `rr help` names its own flags and no flag that no
+/// subcommand takes.
+#[test]
+fn every_usage_text_names_exactly_its_flag_table() {
+    use register_relocation::commands::COMMANDS;
+    let table = |command: &register_relocation::cli::Command| {
+        let mut flags: std::collections::BTreeSet<String> =
+            command.rows().map(|f| f.name().to_string()).collect();
+        flags.insert("--help".to_string());
+        flags
+    };
+    let every: std::collections::BTreeSet<String> = COMMANDS.iter().flat_map(table).collect();
+    for name in subcommands() {
+        let out = rr().args([name.as_str(), "--help"]).output().unwrap();
+        let printed = flags_named_in(&String::from_utf8_lossy(&out.stdout));
+        let own = table(COMMANDS.iter().find(|c| c.name == name).unwrap());
+        if name == "help" {
+            assert!(own.is_subset(&printed) && printed.is_subset(&every), "{printed:?}");
+        } else {
+            assert_eq!(printed, own, "`rr {name} --help` and its flag table disagree");
+        }
+    }
+}
+
+/// Command lines the hand-rolled parsing used to get wrong: an unknown
+/// flag was ignored, `--help` ran the sweep, a flag was taken as a JSON
+/// path, and a flag before the input file was taken as the file.
+#[test]
+fn flags_are_checked_before_any_work_runs() {
+    let dir = ScratchDir::new("contract");
+    let small = ["fig5", "--file", "64", "--threads", "8", "--work", "2000", "--jobs", "1"];
+
+    let bogus = rr_in(&dir.0, &[&small[..], &["--bogus-flag"]].concat());
+    assert!(!bogus.status.success());
+    assert!(String::from_utf8_lossy(&bogus.stderr).contains("`--bogus-flag`"));
+    assert!(bogus.stdout.is_empty(), "no panel was printed");
+
+    let help = rr_in(&dir.0, &["fig5", "--help"]);
+    assert!(help.status.success());
+    assert!(!String::from_utf8_lossy(&help.stdout).contains("F = 64 registers"), "no sweep ran");
+
+    let json = rr_in(&dir.0, &[&small[..], &["--json", "--no-store"]].concat());
+    assert!(!json.status.success());
+    assert!(String::from_utf8_lossy(&json.stderr).contains("not the flag `--no-store`"));
+    assert_eq!(dir.entries(), Vec::<String>::new(), "no file named --no-store");
+
+    let src = demo_source();
+    let path = src.path.to_str().unwrap();
+    let check = rr_in(&dir.0, &["check", "--size", "8", path]);
+    assert!(check.status.success(), "{}", String::from_utf8_lossy(&check.stderr));
+    assert!(String::from_utf8_lossy(&check.stdout).contains("ok for a 8-register context"));
+}

@@ -283,6 +283,9 @@ fn api_rejects_what_it_should() {
     let (status, _, body) =
         request(daemon.addr, "POST", "/jobs", Some(r#"{"kind": "fig7"}"#));
     assert_eq!((status, body.contains("fig7")), (400, true), "{body}");
+    let (status, _, body) =
+        request(daemon.addr, "POST", "/jobs", Some(r#"{"kind": "fig5", "fiel": 64}"#));
+    assert_eq!((status, body.contains("unknown field `fiel`")), (400, true), "{body}");
     let (status, _, body) = request(daemon.addr, "DELETE", "/jobs", None);
     assert_eq!(status, 405, "{body}");
 
